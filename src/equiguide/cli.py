@@ -7,7 +7,9 @@ import json
 import sys
 
 from .config import ConfigError, load_config
+from .containers import ContainerError
 from .harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
+from .samplers import SamplerError
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -37,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep the configured axes")
     add_common(sp)
     sp.add_argument("--seeds", default=None, help="comma-separated seed override")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("report", help="aggregate run/sweep outputs")
     sp.add_argument("run_dir", help="directory containing sweep.csv / run_summary.json")
@@ -66,13 +67,16 @@ def main(argv=None) -> int:
             print(json.dumps({"hash": summary["hash"]}))
         elif args.command == "sweep":
             seeds = _parse_seeds(args.seeds) if args.seeds else None
-            path = cmd_sweep(cfg, out_dir=args.out, seeds=seeds, threads=args.threads)
+            path = cmd_sweep(cfg, out_dir=args.out, seeds=seeds)
             print(str(path))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except (ContainerError, SamplerError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -7,7 +7,11 @@ experiment. A validated config plus a seed list fully determines every output.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
+
+from .equi import EquiLossConfig
+from .samplers import ALGORITHMS, SamplerConfig
 
 __all__ = ["ConfigError", "load_config", "validate_config", "DEFAULT_SCHEDULE"]
 
@@ -29,12 +33,9 @@ _PROBE_TRAIN_KEYS = {"steps", "batch_size", "lr", "seed", "hidden", "latent_dim"
                      "channels", "latent_channels", "augment", "f"}
 _OPERATOR_KEYS = {"kind", "box", "shape", "keep_prob", "seed", "size", "sigma",
                   "orientation", "factor", "scale", "padding", "sigma_y"}
-_SAMPLER_KEYS = {"algorithm", "steps", "zeta", "zeta_normalized", "eta_psld", "gamma_psld",
-                 "gamma_resample", "delta", "k_meas", "k_equi", "inner_lr",
-                 "closeness_weight", "equi", "ddim_eta", "resample_steps",
-                 "guidance_norm", "detach_regularizer"}
-_EQUI_KEYS = {"lam", "period", "early_stop_frac", "norm", "element_policy",
-              "fixed_element", "subset"}
+# the seed comes from the run's seed list; recorded states are not a run output
+_SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)} - {"seed", "record_states"}
+_EQUI_KEYS = {f.name for f in fields(EquiLossConfig)}
 _RUN_KEYS = {"n_images", "samples_per_image", "image_offset", "oracle", "psnr_peak"}
 _ORACLE_KEYS = {"enabled", "n_samples", "n_proj", "ring_radius"}
 _SWEEP_KEYS = {"lambda", "period", "steps", "mask_size", "k_split"}
@@ -86,6 +87,13 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(cfg["sampler"], _SAMPLER_KEYS, "sampler")
     if "equi" in cfg["sampler"]:
         _check_keys(cfg["sampler"]["equi"], _EQUI_KEYS, "sampler.equi")
+    try:
+        sampler = SamplerConfig(**cfg["sampler"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
+    if ALGORITHMS[sampler.algorithm].family == "unconditional":
+        raise ConfigError(f"sampler.algorithm '{sampler.algorithm}' draws unconditional samples; "
+                          "run and sweep need a measurement-conditioned algorithm")
 
     if "run" in cfg:
         _check_keys(cfg["run"], _RUN_KEYS, "run")

@@ -22,6 +22,14 @@ class ContainerError(ValueError):
     """Malformed container file."""
 
 
+def _plain(spec: dict) -> dict:
+    """A copy of spec with array values as lists, so it serializes to JSON."""
+    out = {}
+    for k, v in spec.items():
+        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
+    return out
+
+
 def write_tensor(fh, array: np.ndarray, name: str | None = None) -> None:
     arr = np.asarray(array, dtype="<f8", order="C")
     header = {"shape": list(arr.shape), "dtype": "f64", "byte-order": "little-endian"}

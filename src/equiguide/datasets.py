@@ -6,14 +6,11 @@ regenerable bit-exactly from its metadata.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .containers import ContainerError, read_tensor, write_tensor
+from .containers import ContainerError, _plain, load_tensors, save_tensors
 from .gmm import GMMPrior, sample_gmm
 
 __all__ = [
@@ -27,8 +24,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-_DS_MAGIC = b"EQD1"
 
 
 @dataclass
@@ -71,7 +66,7 @@ def gen_gmm_points(spec: dict, n: int, rng: np.random.Generator) -> Dataset:
     if spec.get("mirror_swap") is not None:
         prior = mirror_symmetrize(prior, tuple(spec["mirror_swap"]))
     items = sample_gmm(prior, n, rng) if n > 0 else np.zeros((0, prior.dim))
-    meta = {"kind": "gmm-points", "spec": _plain_spec(spec), "n": n}
+    meta = {"kind": "gmm-points", "spec": _plain(spec), "n": n}
     return Dataset(kind="gmm-points", items=items, metadata=meta)
 
 
@@ -134,13 +129,6 @@ def gen_sym_shapes_grid(size: int, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(kind="sym-shapes-grid", items=items, metadata=meta)
 
 
-def _plain_spec(spec: dict) -> dict:
-    out = {}
-    for k, v in spec.items():
-        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
-    return out
-
-
 def generate(kind: str, spec: dict, n: int, seed: int) -> Dataset:
     """Dispatch by kind; the (kind, spec, seed) triple fully determines items."""
     rng = np.random.default_rng(seed)
@@ -158,36 +146,13 @@ def generate(kind: str, spec: dict, n: int, seed: int) -> Dataset:
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    path = Path(path)
-    manifest = dict(ds.metadata)
-    manifest["kind"] = ds.kind
-    manifest["count"] = len(ds.items)
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_DS_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        write_tensor(fh, ds.items, name="items")
+    save_tensors(path, {"items": ds.items}, manifest={**ds.metadata, "kind": ds.kind})
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DS_MAGIC:
-            raise ContainerError(f"bad dataset magic {magic!r}")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise ContainerError("truncated dataset manifest")
-        (mlen,) = struct.unpack("<I", raw)
-        blob = fh.read(mlen)
-        if len(blob) != mlen:
-            raise ContainerError("truncated dataset manifest")
-        try:
-            manifest = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContainerError(f"unparseable dataset manifest: {exc}") from exc
-        items, _ = read_tensor(fh)
+    tensors, manifest = load_tensors(path)
+    if "items" not in tensors or "kind" not in manifest:
+        raise ContainerError(f"{path} is not a dataset file")
     kind = manifest.pop("kind")
-    manifest.pop("count", None)
-    return Dataset(kind=kind, items=items, metadata=manifest)
+    manifest.pop("names")
+    return Dataset(kind=kind, items=tensors["items"], metadata=manifest)

@@ -17,6 +17,7 @@ import numpy as np
 from .autodiff import Tensor, backward, l2_norm, norm_sq, square, sub, tmean
 from .containers import load_tensors, save_tensors
 from .groups import GroupAction, make_group
+from .models import _canonical_order
 from .nn import Adam, ConvAutoencoder, MlpAutoencoder, _wrap_params
 
 __all__ = [
@@ -185,8 +186,7 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     if items.size == 0:
         raise ValueError("dataset must be nonempty")
     data_shape = items.shape[1:]
-    keys = [a.tobytes() for a in items]
-    items = items[sorted(range(len(items)), key=lambda i: keys[i])]
+    items = _canonical_order(items)
 
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, permute_flat
+from .containers import _plain
 
 __all__ = ["GroupAction", "make_group"]
 
@@ -167,13 +168,6 @@ class GroupAction:
 
     def to_config(self) -> dict:
         return {"domain": dict(self.domain_spec), "codomain": dict(self.codomain_spec)}
-
-
-def _plain(spec: dict) -> dict:
-    out = {}
-    for k, v in spec.items():
-        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
-    return out
 
 
 def make_group(spec: dict, codomain_spec: dict | None = None) -> GroupAction:

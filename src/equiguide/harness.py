@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .models import (
 )
 from .operators import forward, make_operator
 from .samplers import (
+    ALGORITHMS,
     SamplerConfig,
     Trajectory,
     dps_sample,
@@ -39,11 +39,6 @@ from .samplers import (
     equi_psld_sample,
     equi_resample_sample,
     equi_sitcom_sample,
-    equicon_psld_sample,
-    equicon_resample_sample,
-    psld_sample,
-    resample_sample,
-    sitcom_sample,
 )
 from .schedule import NoiseSchedule, make_linear_schedule
 
@@ -199,31 +194,23 @@ def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> Samp
     return SamplerConfig(seed=seed, equi=EquiLossConfig(**equi), **sc)
 
 
-def _run_sampler(alg: str, model, op, y, probe, scfg: SamplerConfig) -> Trajectory:
-    if alg in ("dps", "equi-dps", "sitcom", "equi-sitcom"):
-        if alg == "dps":
-            return dps_sample(model, op, y, scfg)
-        if alg == "equi-dps":
-            return equi_dps_sample(model, op, y, probe, scfg)
-        if alg == "sitcom":
-            return sitcom_sample(model, op, y, scfg)
-        return equi_sitcom_sample(model, op, y, probe, scfg)
+def _run_sampler(model, op, y, probe, scfg: SamplerConfig) -> Trajectory:
+    alg = ALGORITHMS[scfg.algorithm]
+    m = probe if alg.regularized else None
+    # DPS goes through this module's dps_sample/equi_dps_sample names, looked up
+    # per call, so wrappers installed on them see every DPS chain
+    if alg.family == "dps" and m is None:
+        return dps_sample(model, op, y, scfg)
+    if alg.family == "dps":
+        return equi_dps_sample(model, op, y, m, scfg)
+    if alg.family == "sitcom":
+        return equi_sitcom_sample(model, op, y, m, scfg)
+    if alg.family not in ("psld", "resample"):
+        raise ConfigError(f"algorithm '{scfg.algorithm}' does not condition on a measurement")
     if probe is None or probe.meta.get("ae") is None:
-        raise ConfigError(f"latent sampler '{alg}' needs an autoencoder probe")
-    ae = probe.meta["ae"]
-    if alg == "psld":
-        return psld_sample(model, ae, op, y, scfg)
-    if alg == "equi-psld":
-        return equi_psld_sample(model, ae, op, y, probe, scfg)
-    if alg == "equicon-psld":
-        return equicon_psld_sample(model, ae, op, y, probe, scfg)
-    if alg == "resample":
-        return resample_sample(model, ae, op, y, scfg)
-    if alg == "equi-resample":
-        return equi_resample_sample(model, ae, op, y, probe, scfg)
-    if alg == "equicon-resample":
-        return equicon_resample_sample(model, ae, op, y, probe, scfg)
-    raise ConfigError(f"unknown algorithm '{alg}'")
+        raise ConfigError(f"latent sampler '{scfg.algorithm}' needs an autoencoder probe")
+    sample = equi_psld_sample if alg.family == "psld" else equi_resample_sample
+    return sample(model, probe.meta["ae"], op, y, m, scfg, constrained=alg.constrained)
 
 
 def _measurement_seed(seed: int, image_idx: int) -> int:
@@ -242,7 +229,6 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     k_samples = int(run_cfg.get("samples_per_image", 1))
     offset = int(run_cfg.get("image_offset", 0))
     peak = float(run_cfg.get("psnr_peak", 1.0))
-    alg = cfg["sampler"]["algorithm"]
     mask_size = (overrides or {}).get("mask_size")
 
     grid_shape = test_items.shape[1:]
@@ -262,7 +248,7 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
         samples = []
         for k in range(k_samples):
             scfg = _sampler_config(cfg, _chain_seed(seed, i, k), overrides)
-            traj = _run_sampler(alg, model, op, meas.y, probe, scfg)
+            traj = _run_sampler(model, op, meas.y, probe, scfg)
             samples.append(traj.final)
             for key, v in traj.counts.items():
                 counts_total[key] = counts_total.get(key, 0) + v
@@ -357,7 +343,7 @@ def _sweep_cells(sweep: dict) -> list[dict]:
     return cells
 
 
-def cmd_sweep(cfg: dict, out_dir=None, seeds=None, threads: int = 1) -> Path:
+def cmd_sweep(cfg: dict, out_dir=None, seeds=None) -> Path:
     """Cartesian sweep over the configured axes; one CSV row per cell x seed."""
     out = _out_dir(cfg, out_dir)
     seeds = list(seeds if seeds is not None else cfg["seeds"])
@@ -367,21 +353,14 @@ def cmd_sweep(cfg: dict, out_dir=None, seeds=None, threads: int = 1) -> Path:
     probe = _resolve_probe(cfg, out)
     cells = _sweep_cells(cfg.get("sweep", {}))
 
-    jobs = [(cell, seed) for cell in cells for seed in seeds]
-
-    def work(job):
-        cell, seed = job
-        row = run_cell(cfg, model, probe, test_ds.items, seed, overrides=cell)
-        row.pop("sample_hashes")
-        for a in _SWEEP_AXES:
-            row[a] = json.dumps(cell[a]) if a in cell else ""
-        return row
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(j) for j in jobs]
+    rows = []
+    for cell in cells:
+        for seed in seeds:
+            row = run_cell(cfg, model, probe, test_ds.items, seed, overrides=cell)
+            row.pop("sample_hashes")
+            for a in _SWEEP_AXES:
+                row[a] = json.dumps(cell[a]) if a in cell else ""
+            rows.append(row)
 
     fields = sorted({k for r in rows for k in r})
     path = out / "sweep.csv"

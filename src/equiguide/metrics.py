@@ -7,12 +7,9 @@ sorted projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 __all__ = [
-    "MetricReport",
     "psnr",
     "ssim",
     "sliced_wasserstein",
@@ -23,18 +20,6 @@ __all__ = [
 ]
 
 PSNR_SENTINEL = 99.0
-
-
-@dataclass
-class MetricReport:
-    psnr: float | None = None
-    ssim: float | None = None
-    sw2: float | None = None
-    intra_dist: float | None = None
-    pixel_std: float | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:

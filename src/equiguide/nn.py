@@ -219,8 +219,8 @@ class MlpAutoencoder:
         _, dec = self._split(params)
         return self.decoder.forward(z, params=dec)
 
-    def latent_shape(self, in_shape):
-        return (self.latent_dim,) if len(in_shape) == 1 else (in_shape[0], self.latent_dim)
+    def latent_shape(self):
+        return (self.latent_dim,)
 
     def config(self) -> dict:
         return {"arch": "mlp-ae", "in_dim": self.in_dim, "hidden": self.hidden,
@@ -291,7 +291,7 @@ class ConvAutoencoder:
     def set_params(self, flat: dict[str, np.ndarray]) -> None:
         self.params.update(flat)
 
-    def latent_shape(self, in_shape=None):
+    def latent_shape(self):
         g = self.grid // 4
         return (self.latent_channels, g, g)
 

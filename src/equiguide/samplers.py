@@ -1,15 +1,30 @@
 """Reverse-diffusion posterior samplers, unregularized and equivariance-regularized.
 
+Every sampler is one chain skeleton, ``_chain``, driving a family's step body.
+The skeleton splits the seed into independent chain-noise and regularizer
+generators, draws the initial state, walks the (t, s) step pairs, checks each
+new state is finite, and collects the step records, the recorded states and
+x0 estimates and the final ``Trajectory``. A step body maps one state to the
+next and reports that step's losses. Bodies differentiate through ``_tape``
+(a fresh leaf whose non-finite tape values become ``SamplerError``) and
+``_grad`` (backward plus a finite-gradient check).
+
 Every guided sampler differentiates its losses through the Tweedie map (full
-chain rule through the score model) on a per-step tape. Chain noise and
-regularizer element draws come from independent child generators of the seed,
-so an arm with the regularizer disabled is bit-identical to its baseline and
-an arm with it enabled sees the same chain noise.
+chain rule through the score model) on a per-step tape. Because chain noise
+and regularizer element draws come from separate generators, an arm with the
+regularizer disabled is bit-identical to its baseline and an arm with it
+enabled sees the same chain noise.
+
+``ALGORITHMS`` is the one table of algorithm names: each maps to its family,
+whether the probe's penalty is on, and whether that penalty is the
+constrained (inverse-map) loss.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +43,13 @@ from .autodiff import (
     tsum,
 )
 from .equi import EquiLossConfig, EquivariantFunction, equi_loss, equicon_loss
-from .models import tweedie_x0_traced
+from .models import tweedie_x0, tweedie_x0_traced
 from .nn import Adam
 from .operators import MeasurementOperator
 
 __all__ = [
+    "ALGORITHMS",
+    "Algorithm",
     "SamplerConfig",
     "StepRecord",
     "Trajectory",
@@ -42,31 +59,33 @@ __all__ = [
     "ddim_sample",
     "dps_sample",
     "equi_dps_sample",
-    "psld_sample",
     "equi_psld_sample",
-    "equicon_psld_sample",
-    "resample_sample",
     "equi_resample_sample",
-    "equicon_resample_sample",
-    "sitcom_sample",
     "equi_sitcom_sample",
     "stochastic_resample",
 ]
 
-ALGORITHMS = (
-    "ancestral",
-    "ddim",
-    "dps",
-    "equi-dps",
-    "psld",
-    "equi-psld",
-    "equicon-psld",
-    "resample",
-    "equi-resample",
-    "equicon-resample",
-    "sitcom",
-    "equi-sitcom",
-)
+
+class Algorithm(NamedTuple):
+    family: str  # "unconditional" (no measurement), "dps", "psld", "resample" or "sitcom"
+    regularized: bool = False  # the probe's equivariance penalty is on
+    constrained: bool = False  # the penalty is the cycle-consistency loss through the inverse
+
+
+ALGORITHMS = {
+    "ancestral": Algorithm("unconditional"),
+    "ddim": Algorithm("unconditional"),
+    "dps": Algorithm("dps"),
+    "equi-dps": Algorithm("dps", True),
+    "psld": Algorithm("psld"),
+    "equi-psld": Algorithm("psld", True),
+    "equicon-psld": Algorithm("psld", True, True),
+    "resample": Algorithm("resample"),
+    "equi-resample": Algorithm("resample", True),
+    "equicon-resample": Algorithm("resample", True, True),
+    "sitcom": Algorithm("sitcom"),
+    "equi-sitcom": Algorithm("sitcom", True),
+}
 
 
 class SamplerError(RuntimeError):
@@ -97,7 +116,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+            raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if min(self.zeta, self.eta_psld, self.gamma_psld, self.gamma_resample) < 0:
@@ -149,21 +168,25 @@ def _pairs(T: int, N: int) -> list[tuple[int, int]]:
     return list(zip(reversed(idx), reversed(lower)))
 
 
-def _ancestral_coefs(sched, t: int, s: int) -> tuple[float, float, float]:
+def _ancestral_step(sched, t: int, s: int, x, x0, noise: np.random.Generator) -> np.ndarray:
+    """Ancestral proposal from time t to s given the clean estimate x0."""
     abar_t, abar_s = sched.abar(t), sched.abar(s)
     alpha_eff = abar_t / abar_s
     beta_eff = 1.0 - alpha_eff
     c1 = np.sqrt(alpha_eff) * (1.0 - abar_s) / (1.0 - abar_t)
     c2 = np.sqrt(abar_s) * beta_eff / (1.0 - abar_t)
     sig = np.sqrt(beta_eff * (1.0 - abar_s) / (1.0 - abar_t))
-    return c1, c2, sig
+    return c1 * x + c2 * x0 + sig * noise.standard_normal(x.shape)
 
 
-def _ddim_coefs(sched, t: int, s: int, eta: float) -> tuple[float, float, float]:
+def _ddim_step(sched, t: int, s: int, eta: float, x, x0, noise: np.random.Generator) -> np.ndarray:
+    """DDIM transition from time t to s given the clean estimate x0."""
     abar_t, abar_s = sched.abar(t), sched.abar(s)
     sig = eta * np.sqrt((1.0 - abar_s) / (1.0 - abar_t)) * np.sqrt(1.0 - abar_t / abar_s)
     dir_coef = np.sqrt(max(1.0 - abar_s - sig * sig, 0.0))
-    return np.sqrt(abar_s), dir_coef, sig
+    eps_hat = (x - np.sqrt(abar_t) * x0) / np.sqrt(1.0 - abar_t)
+    x = np.sqrt(abar_s) * x0 + dir_coef * eps_hat
+    return x + sig * noise.standard_normal(x.shape) if sig > 0 else x
 
 
 def _reg_plan(N: int, equi_cfg: EquiLossConfig, enabled: bool) -> list[bool]:
@@ -184,7 +207,30 @@ def _meas_loss(y: np.ndarray, op: MeasurementOperator, x0t: Tensor, norm: str) -
     return norm_sq(resid) if norm == "squared" else l2_norm(resid)
 
 
-def _grad_or_raise(leaf: Tensor, t: int) -> np.ndarray:
+def _reg_loss(m: EquivariantFunction | None, constrained: bool):
+    """The latent families' penalty; the constrained loss needs the probe's inverse."""
+    if not constrained:
+        return equi_loss
+    if m is not None and not m.has_inverse:
+        raise SamplerError("constrained variant needs a probe with an inverse map")
+    return equicon_loss
+
+
+# -- the gradient helper and the chain skeleton ----------------------------------------
+
+
+@contextmanager
+def _tape(x: np.ndarray, t: int):
+    """A fresh gradient leaf holding x; non-finite values on its tape raise SamplerError."""
+    try:
+        yield Tensor(x, requires_grad=True)
+    except NonFiniteValue as exc:
+        raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
+
+
+def _grad(loss: Tensor, leaf: Tensor, t: int) -> np.ndarray:
+    """Backward from loss; the leaf's gradient (zero if unreached), checked finite."""
+    backward(loss)
     g = leaf.grad
     if g is None:
         return np.zeros(leaf.shape)
@@ -193,10 +239,39 @@ def _grad_or_raise(leaf: Tensor, t: int) -> np.ndarray:
     return g
 
 
-def _rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    root = np.random.default_rng(seed)
-    noise, equi = root.spawn(2)
-    return noise, equi
+def _counts(*extra: str) -> dict:
+    return dict.fromkeys(("score_evals", "guidance_grads", "equi_grads") + extra, 0)
+
+
+def _shape(model, n: int | None) -> tuple[int, ...]:
+    shape = tuple(model.data_shape) if hasattr(model, "data_shape") else (model.prior.dim,)
+    return shape if n is None else (n,) + shape
+
+
+def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> Trajectory:
+    """Run ``step`` over the chain's step pairs from a standard-normal start.
+
+    ``step(i, t, s, x, noise, equi_rng)`` returns the state at time s, the x0
+    estimate it used, and the step's measurement and equivariance losses;
+    ``final(x, x0)`` maps the last state and estimate to the returned sample.
+    """
+    noise, equi_rng = np.random.default_rng(cfg.seed).spawn(2)
+    x = noise.standard_normal(shape)
+    records: list[StepRecord] = []
+    states = [] if cfg.record_states else None
+    x0s = [] if cfg.record_states else None
+    for i, (t, s) in enumerate(_pairs(model.schedule.T, cfg.steps)):
+        x, x0, meas, reg = step(i, t, s, x, noise, equi_rng)
+        if not np.all(np.isfinite(x)):
+            raise SamplerError(f"non-finite state at step t={t}")
+        records.append(StepRecord(t=t, meas_loss=float(meas), equi_loss=float(reg)))
+        if states is not None:
+            states.append(x.copy())
+            x0s.append(x0.copy())
+    traj = Trajectory(records=records, final=x if final is None else final(x, x0),
+                      counts=counts, config=cfg.to_dict(), states=states, x0_estimates=x0s)
+    traj.assert_finite()
+    return traj
 
 
 # -- unconditional samplers -------------------------------------------------------
@@ -204,36 +279,16 @@ def _rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 def _unconditional(model, cfg: SamplerConfig, n: int | None, use_ddim: bool) -> Trajectory:
     sched = model.schedule
-    shape = model.data_shape if hasattr(model, "data_shape") else (model.prior.dim,)
-    full = shape if n is None else (n,) + tuple(shape)
-    rng_noise, _ = _rngs(cfg.seed)
-    x = rng_noise.standard_normal(full)
-    records: list[StepRecord] = []
-    states = [] if cfg.record_states else None
-    evals = 0
-    for t, s in _pairs(sched.T, cfg.steps):
-        x0 = ( x + (1.0 - sched.abar(t)) * model.score(x, t) ) / np.sqrt(sched.abar(t))
-        evals += 1
+    counts = _counts()
+
+    def step(i, t, s, x, noise, equi_rng):
+        x0 = tweedie_x0(x, t, model)
+        counts["score_evals"] += 1
         if use_ddim:
-            a, b, sig = _ddim_coefs(sched, t, s, cfg.ddim_eta)
-            eps_hat = (x - np.sqrt(sched.abar(t)) * x0) / np.sqrt(1.0 - sched.abar(t))
-            x = a * x0 + b * eps_hat
-            if sig > 0:
-                x = x + sig * rng_noise.standard_normal(full)
-        else:
-            c1, c2, sig = _ancestral_coefs(sched, t, s)
-            eps = rng_noise.standard_normal(full)
-            x = c1 * x + c2 * x0 + sig * eps
-        if not np.all(np.isfinite(x)):
-            raise SamplerError(f"non-finite state at step t={t}")
-        records.append(StepRecord(t=t, meas_loss=0.0, equi_loss=0.0))
-        if states is not None:
-            states.append(x.copy())
-    traj = Trajectory(records=records, final=x, config=cfg.to_dict(),
-                      counts={"score_evals": evals, "guidance_grads": 0, "equi_grads": 0},
-                      states=states)
-    traj.assert_finite()
-    return traj
+            return _ddim_step(sched, t, s, cfg.ddim_eta, x, x0, noise), x0, 0.0, 0.0
+        return _ancestral_step(sched, t, s, x, x0, noise), x0, 0.0, 0.0
+
+    return _chain(model, cfg, _shape(model, n), step, counts)
 
 
 def ancestral_sample(model, cfg: SamplerConfig, n: int | None = None) -> Trajectory:
@@ -255,7 +310,7 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
 
     Per step: Tweedie estimate, ancestral proposal, then a single combined
     gradient step on zeta * ||y - A(x0|t)||^2 + lambda * R, both differentiated
-    with respect to the current state.
+    with respect to the current state. ``m=None`` is plain DPS.
 
     With ``n_chains``, y carries a leading chain axis and the independent
     chains run in lockstep on one batched tape (losses are additive over
@@ -263,75 +318,39 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
     is shared per step).
     """
     sched = model.schedule
-    shape = model.data_shape if hasattr(model, "data_shape") else (model.prior.dim,)
-    if n_chains is not None:
-        shape = (n_chains,) + tuple(shape)
-    rng_noise, rng_equi = _rngs(cfg.seed)
-    x = rng_noise.standard_normal(shape)
     y = np.asarray(y, dtype=np.float64)
+    plan = _reg_plan(cfg.steps, cfg.equi, m is not None)
+    counts = _counts()
 
-    pairs = _pairs(sched.T, cfg.steps)
-    plan = _reg_plan(len(pairs), cfg.equi, m is not None)
-    records: list[StepRecord] = []
-    states = [] if cfg.record_states else None
-    x0s = [] if cfg.record_states else None
-    counts = {"score_evals": 0, "guidance_grads": 0, "equi_grads": 0}
-
-    batched = n_chains is not None
-    for i, (t, s) in enumerate(pairs):
-        leaf = Tensor(x, requires_grad=True)
-        try:
+    def step(i, t, s, x, noise, equi_rng):
+        r_val, reg_grad = 0.0, None
+        with _tape(x, t) as leaf:
             x0t = tweedie_x0_traced(leaf, t, model)
             counts["score_evals"] += 1
             resid = sub(y, op.apply(x0t))
-            axes = tuple(range(1, resid.data.ndim)) if batched else None
+            axes = tuple(range(1, resid.data.ndim)) if n_chains is not None else None
             sq = tsum(square(resid), axis=axes)  # per-chain squared residual
             per = sqrt(sq) if cfg.guidance_norm == "plain" else sq
-            if cfg.zeta_normalized:
-                scale = cfg.zeta / (np.sqrt(sq.data) + 1e-12)
-            else:
-                scale = cfg.zeta
-            meas = tsum(mul(per, scale)) if batched else mul(per, scale)
-            meas_record = float(np.sum(sq.data))
-            total = meas
+            scale = cfg.zeta / (np.sqrt(sq.data) + 1e-12) if cfg.zeta_normalized else cfg.zeta
+            total = mul(per, scale) if n_chains is None else tsum(mul(per, scale))
             counts["guidance_grads"] += 1
-            r_val = 0.0
             if plan[i]:
                 if cfg.detach_regularizer:
-                    x0_leaf = Tensor(x0t.data, requires_grad=True)
-                    r = equi_loss(m, x0_leaf, rng_equi, cfg.equi)
-                    backward(r)
-                    r_val = r.data.item()
-                    reg_grad = (cfg.equi.lam * _grad_or_raise(x0_leaf, t), "x0")
+                    with _tape(x0t.data, t) as x0_leaf:
+                        r = equi_loss(m, x0_leaf, equi_rng, cfg.equi)
+                        reg_grad = cfg.equi.lam * _grad(r, x0_leaf, t)
                 else:
-                    r = equi_loss(m, x0t, rng_equi, cfg.equi)
-                    r_val = r.data.item()
+                    r = equi_loss(m, x0t, equi_rng, cfg.equi)
                     total = total + mul(r, cfg.equi.lam)
-                    reg_grad = None
+                r_val = r.data.item()
                 counts["equi_grads"] += 1
-            else:
-                reg_grad = None
-            backward(total)
-            grad = _grad_or_raise(leaf, t)
-        except NonFiniteValue as exc:
-            raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
-
-        c1, c2, sig = _ancestral_coefs(sched, t, s)
-        eps = rng_noise.standard_normal(shape)
-        x = c1 * x + c2 * x0t.data + sig * eps - grad
+            grad = _grad(total, leaf, t)
+        x_next = _ancestral_step(sched, t, s, x, x0t.data, noise) - grad
         if reg_grad is not None:
-            x = x - reg_grad[0]
-        if not np.all(np.isfinite(x)):
-            raise SamplerError(f"non-finite state at step t={t}")
-        records.append(StepRecord(t=t, meas_loss=meas_record, equi_loss=float(r_val)))
-        if states is not None:
-            states.append(x.copy())
-            x0s.append(x0t.data.copy())
+            x_next = x_next - reg_grad
+        return x_next, x0t.data, np.sum(sq.data), r_val
 
-    traj = Trajectory(records=records, final=x, counts=counts, config=cfg.to_dict(),
-                      states=states, x0_estimates=x0s)
-    traj.assert_finite()
-    return traj
+    return _chain(model, cfg, _shape(model, n_chains), step, counts)
 
 
 def dps_sample(model, op: MeasurementOperator, y: np.ndarray, cfg: SamplerConfig,
@@ -339,11 +358,67 @@ def dps_sample(model, op: MeasurementOperator, y: np.ndarray, cfg: SamplerConfig
     return equi_dps_sample(model, op, y, None, cfg, n_chains=n_chains)
 
 
+def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
+                       m: EquivariantFunction | None, cfg: SamplerConfig,
+                       n_chains: int | None = None) -> Trajectory:
+    """Two-stage per-step refinement: measurement consistency, then equivariance.
+
+    Stage 1 runs adaptive-moment descent on ||A(tweedie(v)) - y||^2 plus a
+    closeness pull toward the step's initial state, stopping when the residual
+    falls under delta^2. Stage 2 refines the same variable on the probe's
+    equivariance gap. The refined state is re-noised to the next time.
+    ``m=None`` is plain SITCOM. Batched chains share the stopping decision, so
+    use a small delta when comparing batched arms.
+    """
+    sched = model.schedule
+    y = np.asarray(y, dtype=np.float64)
+    counts = _counts("inner_meas_steps", "inner_equi_steps")
+
+    def descend(v, t, iters, loss_fn, keys):
+        """Adam on loss_fn(leaf) -> (stop value, loss) until the value is under delta^2."""
+        opt, val = Adam(cfg.inner_lr), None
+        for _ in range(iters):
+            with _tape(v, t) as leaf:
+                val, loss = loss_fn(leaf)
+                if val < cfg.delta**2:
+                    break
+                grad = _grad(loss, leaf, t)
+            for key in keys:
+                counts[key] += 1
+            params = {"v": v}
+            opt.step(params, {"v": grad})
+            v = params["v"]
+        return v, val
+
+    def step(i, t, s, x, noise, equi_rng):
+        def meas(leaf):
+            resid = norm_sq(sub(op.apply(tweedie_x0_traced(leaf, t, model)), y))
+            counts["score_evals"] += 1
+            return resid.item(), resid + mul(norm_sq(sub(leaf, x)), cfg.closeness_weight)
+
+        v, meas_val = descend(x.copy(), t, cfg.k_meas, meas, ("guidance_grads", "inner_meas_steps"))
+        r_val = 0.0
+        if m is not None and cfg.k_equi > 0:
+            g_el = cfg.equi.draw_element(m.action, equi_rng)
+
+            def equi(leaf):
+                r = equi_loss(m, leaf, g_el, cfg.equi)
+                return r.data.item(), r
+
+            v, r_val = descend(v, t, cfg.k_equi, equi, ("equi_grads", "inner_equi_steps"))
+
+        # backward consistency, then forward re-noising to the next time index
+        x0_hat = tweedie_x0(v, t, model)
+        counts["score_evals"] += 1
+        abar_s = sched.abar(s)
+        eta = noise.standard_normal(x.shape)
+        x = np.sqrt(abar_s) * x0_hat + np.sqrt(1.0 - abar_s) * eta if s > 0 else x0_hat
+        return x, x0_hat, 0.0 if meas_val is None else meas_val, r_val
+
+    return _chain(model, cfg, _shape(model, n_chains), step, counts)
+
+
 # -- latent-space guided samplers ---------------------------------------------------
-
-
-def _latent_shape(ae) -> tuple[int, ...]:
-    return tuple(ae.latent_shape())
 
 
 def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
@@ -355,85 +430,42 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
     constrained variant additionally needs the paired encoder. The gluing
     target pins measured coordinates through the decode/encode round trip;
     A^T A x0* is realized as A^T y (equal in expectation under the noise
-    model). Linear operators only.
+    model). Linear operators only. ``m=None`` is plain PSLD.
     """
     if not op.is_linear:
         raise SamplerError("latent gluing requires a linear operator")
+    reg_loss = _reg_loss(m, constrained)
     sched = model.schedule
-    lat_shape = _latent_shape(ae)
-    rng_noise, rng_equi = _rngs(cfg.seed)
-    z = rng_noise.standard_normal(lat_shape)
+    lat_shape = ae.latent_shape()
     y = np.asarray(y, dtype=np.float64)
+    pix_shape = ae.decode(Tensor(np.zeros(lat_shape))).shape
+    M = op.matrix(pix_shape)
+    aty = (M.T @ y.reshape(-1)).reshape(pix_shape)
+    plan = _reg_plan(cfg.steps, cfg.equi, m is not None)
+    counts = _counts()
 
-    pairs = _pairs(sched.T, cfg.steps)
-    plan = _reg_plan(len(pairs), cfg.equi, m is not None)
-    records: list[StepRecord] = []
-    states = [] if cfg.record_states else None
-    counts = {"score_evals": 0, "guidance_grads": 0, "equi_grads": 0}
-
-    # pixel geometry for the gluing term
-    pix_shape = None
-    M = None
-    aty = None
-
-    x0_final = None
-    for i, (t, s) in enumerate(pairs):
-        leaf = Tensor(z, requires_grad=True)
-        try:
+    def step(i, t, s, z, noise, equi_rng):
+        r_val = 0.0
+        with _tape(z, t) as leaf:
             z0t = tweedie_x0_traced(leaf, t, model)
             counts["score_evals"] += 1
             dz = ae.decode(z0t)
-            if M is None:
-                pix_shape = dz.shape
-                M = op.matrix(pix_shape)
-                aty = (M.T @ y.reshape(-1)).reshape(pix_shape)
             meas = _meas_loss(y, op, dz, cfg.guidance_norm)
-            adz = op.apply(dz)
-            atadz = reshape(matmul(reshape(adz, (-1,)), M), pix_shape)
-            glue_target = ae.encode(Tensor(aty) + dz - atadz)
-            glue_diff = sub(z0t, glue_target)
+            atadz = reshape(matmul(reshape(op.apply(dz), (-1,)), M), pix_shape)
+            glue_diff = sub(z0t, ae.encode(Tensor(aty) + dz - atadz))
             glue = norm_sq(glue_diff) if cfg.guidance_norm == "squared" else l2_norm(glue_diff)
             counts["guidance_grads"] += 1
             total = mul(meas, cfg.eta_psld) + mul(glue, cfg.gamma_psld)
-            r_val = 0.0
             if plan[i]:
-                if constrained:
-                    r = equicon_loss(m, z0t, rng_equi, cfg.equi)
-                else:
-                    r = equi_loss(m, z0t, rng_equi, cfg.equi)
+                r = reg_loss(m, z0t, equi_rng, cfg.equi)
                 r_val = r.data.item()
                 total = total + mul(r, cfg.equi.lam)
                 counts["equi_grads"] += 1
-            backward(total)
-            grad = _grad_or_raise(leaf, t)
-        except NonFiniteValue as exc:
-            raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
+            grad = _grad(total, leaf, t)
+        return _ancestral_step(sched, t, s, z, z0t.data, noise) - grad, z0t.data, meas.item(), r_val
 
-        c1, c2, sig = _ancestral_coefs(sched, t, s)
-        eps = rng_noise.standard_normal(lat_shape)
-        z = c1 * z + c2 * z0t.data + sig * eps - grad
-        if not np.all(np.isfinite(z)):
-            raise SamplerError(f"non-finite latent at step t={t}")
-        records.append(StepRecord(t=t, meas_loss=float(meas.item()), equi_loss=float(r_val)))
-        if states is not None:
-            states.append(z.copy())
-        x0_final = z0t.data
-
-    final = ae.decode(Tensor(x0_final)).data
-    traj = Trajectory(records=records, final=final, counts=counts, config=cfg.to_dict(),
-                      states=states)
-    traj.assert_finite()
-    return traj
-
-
-def psld_sample(model, ae, op, y, cfg: SamplerConfig) -> Trajectory:
-    return equi_psld_sample(model, ae, op, y, None, cfg)
-
-
-def equicon_psld_sample(model, ae, op, y, m, cfg: SamplerConfig) -> Trajectory:
-    if m is not None and not m.has_inverse:
-        raise SamplerError("constrained variant needs a probe with an inverse map")
-    return equi_psld_sample(model, ae, op, y, m, cfg, constrained=True)
+    return _chain(model, cfg, lat_shape, step, counts,
+                  final=lambda z, z0: ae.decode(Tensor(z0)).data)
 
 
 def stochastic_resample(z0y: np.ndarray, z_prime: np.ndarray, gamma: float,
@@ -459,179 +491,49 @@ def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
     The inner loop minimizes 0.5 ||y - A(D(z))||^2 plus the (optionally
     constrained) equivariance penalty by plain gradient descent, then maps the
     optimized estimate back to the current time by a stochastic blend.
+    ``m=None`` is plain ReSample.
     """
+    reg_loss = _reg_loss(m, constrained)
     sched = model.schedule
-    lat_shape = _latent_shape(ae)
-    rng_noise, rng_equi = _rngs(cfg.seed)
-    z = rng_noise.standard_normal(lat_shape)
     y = np.asarray(y, dtype=np.float64)
+    members = set(range(cfg.steps)) if cfg.resample_steps == "all" else set(cfg.resample_steps)
+    events = [i for i in range(cfg.steps) if i in members]
+    event_reg = dict(zip(events, _reg_plan(len(events), cfg.equi, m is not None)))
+    counts = _counts("inner_steps")
 
-    pairs = _pairs(sched.T, cfg.steps)
-    members = set(range(len(pairs))) if cfg.resample_steps == "all" else set(cfg.resample_steps)
-    resample_events = [i for i in range(len(pairs)) if i in members]
-    plan_events = _reg_plan(len(resample_events), cfg.equi, m is not None)
-    event_reg = dict(zip(resample_events, plan_events))
-
-    records: list[StepRecord] = []
-    states = [] if cfg.record_states else None
-    counts = {"score_evals": 0, "guidance_grads": 0, "equi_grads": 0, "inner_steps": 0}
-
-    for i, (t, s) in enumerate(pairs):
-        x0 = (z + (1.0 - sched.abar(t)) * model.score(z, t)) / np.sqrt(sched.abar(t))
+    def step(i, t, s, z, noise, equi_rng):
+        x0 = tweedie_x0(z, t, model)
         counts["score_evals"] += 1
-        a, b, sig = _ddim_coefs(sched, t, s, cfg.ddim_eta)
-        eps_hat = (z - np.sqrt(sched.abar(t)) * x0) / np.sqrt(1.0 - sched.abar(t))
-        z_prime = a * x0 + b * eps_hat
-        if sig > 0:
-            z_prime = z_prime + sig * rng_noise.standard_normal(lat_shape)
-
-        meas_val = 0.0
-        r_val = 0.0
-        if i in members:
-            reg_on = event_reg[i] and m is not None
-            g_el = cfg.equi.draw_element(m.action, rng_equi) if reg_on else None
-            v = x0.copy()
-            initial = None
-            for it in range(cfg.k_meas):
-                leaf = Tensor(v, requires_grad=True)
-                try:
-                    resid = norm_sq(sub(y, op.apply(ae.decode(leaf))))
-                    meas_val = resid.item()
-                    if meas_val < cfg.delta**2:
-                        break
-                    total = mul(resid, 0.5)
-                    if reg_on:
-                        r = (equicon_loss if constrained else equi_loss)(m, leaf, g_el, cfg.equi)
-                        r_val = r.data.item()
-                        total = total + mul(r, cfg.equi.lam)
-                        counts["equi_grads"] += 1
-                    tot_val = total.item()
-                    if initial is None:
-                        initial = tot_val
-                    elif tot_val > 10.0 * max(initial, 1e-12):
-                        raise SamplerError(f"inner loop diverged at step t={t}")
-                    backward(total)
-                    counts["guidance_grads"] += 1
-                    counts["inner_steps"] += 1
-                    v = v - cfg.inner_lr * _grad_or_raise(leaf, t)
-                except NonFiniteValue as exc:
-                    raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
-            z = stochastic_resample(v, z_prime, cfg.gamma_resample, 1.0 - sched.abar(s),
-                                    rng_noise, sched.abar(s))
-        else:
-            z = z_prime
-        if not np.all(np.isfinite(z)):
-            raise SamplerError(f"non-finite latent at step t={t}")
-        records.append(StepRecord(t=t, meas_loss=float(meas_val), equi_loss=float(r_val)))
-        if states is not None:
-            states.append(z.copy())
-
-    final = ae.decode(Tensor(z)).data
-    traj = Trajectory(records=records, final=final, counts=counts, config=cfg.to_dict(),
-                      states=states)
-    traj.assert_finite()
-    return traj
-
-
-def resample_sample(model, ae, op, y, cfg: SamplerConfig) -> Trajectory:
-    return equi_resample_sample(model, ae, op, y, None, cfg)
-
-
-def equicon_resample_sample(model, ae, op, y, m, cfg: SamplerConfig) -> Trajectory:
-    if m is not None and not m.has_inverse:
-        raise SamplerError("constrained variant needs a probe with an inverse map")
-    return equi_resample_sample(model, ae, op, y, m, cfg, constrained=True)
-
-
-def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
-                       m: EquivariantFunction | None, cfg: SamplerConfig,
-                       n_chains: int | None = None) -> Trajectory:
-    """Two-stage per-step refinement: measurement consistency, then equivariance.
-
-    Stage 1 runs adaptive-moment descent on ||A(tweedie(v)) - y||^2 plus a
-    closeness pull toward the step's initial state, stopping when the residual
-    falls under delta^2. Stage 2 refines the same variable on the probe's
-    equivariance gap. The refined state is re-noised to the next time.
-    Batched chains share the stopping decision, so use a small delta when
-    comparing batched arms.
-    """
-    sched = model.schedule
-    shape = model.data_shape if hasattr(model, "data_shape") else (model.prior.dim,)
-    if n_chains is not None:
-        shape = (n_chains,) + tuple(shape)
-    rng_noise, rng_equi = _rngs(cfg.seed)
-    x = rng_noise.standard_normal(shape)
-    y = np.asarray(y, dtype=np.float64)
-
-    pairs = _pairs(sched.T, cfg.steps)
-    records: list[StepRecord] = []
-    states = [] if cfg.record_states else None
-    counts = {"score_evals": 0, "guidance_grads": 0, "equi_grads": 0,
-              "inner_meas_steps": 0, "inner_equi_steps": 0}
-
-    for i, (t, s) in enumerate(pairs):
-        v = x.copy()
-        opt1 = Adam(cfg.inner_lr)
-        meas_val = np.inf
+        z_prime = _ddim_step(sched, t, s, cfg.ddim_eta, z, x0, noise)
+        meas_val = r_val = 0.0
+        if i not in members:
+            return z_prime, x0, meas_val, r_val
+        g_el = cfg.equi.draw_element(m.action, equi_rng) if event_reg[i] else None
+        v, initial = x0.copy(), None
         for _ in range(cfg.k_meas):
-            leaf = Tensor(v, requires_grad=True)
-            try:
-                x0 = tweedie_x0_traced(leaf, t, model)
-                counts["score_evals"] += 1
-                resid = norm_sq(sub(op.apply(x0), y))
+            with _tape(v, t) as leaf:
+                resid = norm_sq(sub(y, op.apply(ae.decode(leaf))))
                 meas_val = resid.item()
                 if meas_val < cfg.delta**2:
                     break
-                close = norm_sq(sub(leaf, x))
-                backward(resid + mul(close, cfg.closeness_weight))
-                counts["guidance_grads"] += 1
-                counts["inner_meas_steps"] += 1
-                grads = {"v": _grad_or_raise(leaf, t)}
-                params = {"v": v}
-                opt1.step(params, grads)
-                v = params["v"]
-            except NonFiniteValue as exc:
-                raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
-
-        r_val = 0.0
-        if m is not None and cfg.k_equi > 0:
-            g_el = cfg.equi.draw_element(m.action, rng_equi)
-            opt2 = Adam(cfg.inner_lr)
-            for _ in range(cfg.k_equi):
-                leaf = Tensor(v, requires_grad=True)
-                try:
-                    r = equi_loss(m, leaf, g_el, cfg.equi)
+                total = mul(resid, 0.5)
+                if event_reg[i]:
+                    r = reg_loss(m, leaf, g_el, cfg.equi)
                     r_val = r.data.item()
-                    if r_val < cfg.delta**2:
-                        break
-                    backward(r)
+                    total = total + mul(r, cfg.equi.lam)
                     counts["equi_grads"] += 1
-                    counts["inner_equi_steps"] += 1
-                    grads = {"v": _grad_or_raise(leaf, t)}
-                    params = {"v": v}
-                    opt2.step(params, grads)
-                    v = params["v"]
-                except NonFiniteValue as exc:
-                    raise SamplerError(f"non-finite value at step t={t}: {exc}") from exc
+                tot_val = total.item()
+                if initial is None:
+                    initial = tot_val
+                elif tot_val > 10.0 * max(initial, 1e-12):
+                    raise SamplerError(f"inner loop diverged at step t={t}")
+                grad = _grad(total, leaf, t)
+            counts["guidance_grads"] += 1
+            counts["inner_steps"] += 1
+            v = v - cfg.inner_lr * grad
+        z = stochastic_resample(v, z_prime, cfg.gamma_resample, 1.0 - sched.abar(s),
+                                noise, sched.abar(s))
+        return z, x0, meas_val, r_val
 
-        # backward consistency, then forward re-noising to the next time index
-        x0_hat = (v + (1.0 - sched.abar(t)) * model.score(v, t)) / np.sqrt(sched.abar(t))
-        counts["score_evals"] += 1
-        abar_s = sched.abar(s)
-        eta = rng_noise.standard_normal(shape)
-        x = np.sqrt(abar_s) * x0_hat + np.sqrt(1.0 - abar_s) * eta if s > 0 else x0_hat
-        if not np.all(np.isfinite(x)):
-            raise SamplerError(f"non-finite state at step t={t}")
-        records.append(StepRecord(t=t, meas_loss=float(meas_val if np.isfinite(meas_val) else 0.0),
-                                  equi_loss=float(r_val)))
-        if states is not None:
-            states.append(x.copy())
-
-    traj = Trajectory(records=records, final=x, counts=counts, config=cfg.to_dict(),
-                      states=states)
-    traj.assert_finite()
-    return traj
-
-
-def sitcom_sample(model, op, y, cfg: SamplerConfig, n_chains: int | None = None) -> Trajectory:
-    return equi_sitcom_sample(model, op, y, None, cfg, n_chains=n_chains)
+    return _chain(model, cfg, ae.latent_shape(), step, counts,
+                  final=lambda z, z0: ae.decode(Tensor(z)).data)

@@ -38,12 +38,7 @@ from equiguide.samplers import (
     equi_psld_sample,
     equi_resample_sample,
     equi_sitcom_sample,
-    equicon_psld_sample,
-    equicon_resample_sample,
     expected_reg_count,
-    psld_sample,
-    resample_sample,
-    sitcom_sample,
 )
 from equiguide.schedule import make_linear_schedule
 
@@ -396,25 +391,26 @@ def test_a9_reduction_identities():
     e = equi_dps_sample(model, op, y, probe, SamplerConfig(algorithm="equi-dps", equi=zero, **c))
     checks.append(("equi-dps", np.array_equal(b.final, e.final)))
 
-    b = psld_sample(model, ae, op, y, SamplerConfig(algorithm="psld", **c))
+    b = equi_psld_sample(model, ae, op, y, None, SamplerConfig(algorithm="psld", **c))
     e = equi_psld_sample(model, ae, op, y, probe,
                          SamplerConfig(algorithm="equi-psld", equi=zero, **c))
     checks.append(("equi-psld", np.array_equal(b.final, e.final)))
-    e = equicon_psld_sample(model, ae, op, y, probe,
-                            SamplerConfig(algorithm="equicon-psld", equi=zero, **c))
+    e = equi_psld_sample(model, ae, op, y, probe,
+                         SamplerConfig(algorithm="equicon-psld", equi=zero, **c), constrained=True)
     checks.append(("equicon-psld", np.array_equal(b.final, e.final)))
 
     c2 = dict(steps=20, seed=4, k_meas=5, inner_lr=0.1, gamma_resample=10.0, record_states=True)
-    b = resample_sample(model, ae, op, y, SamplerConfig(algorithm="resample", **c2))
+    b = equi_resample_sample(model, ae, op, y, None, SamplerConfig(algorithm="resample", **c2))
     e = equi_resample_sample(model, ae, op, y, probe,
                              SamplerConfig(algorithm="equi-resample", equi=zero, **c2))
     checks.append(("equi-resample", np.array_equal(b.final, e.final)))
-    e = equicon_resample_sample(model, ae, op, y, probe,
-                                SamplerConfig(algorithm="equicon-resample", equi=zero, **c2))
+    e = equi_resample_sample(model, ae, op, y, probe,
+                             SamplerConfig(algorithm="equicon-resample", equi=zero, **c2),
+                             constrained=True)
     checks.append(("equicon-resample", np.array_equal(b.final, e.final)))
 
     c3 = dict(steps=10, seed=3, k_meas=4, k_equi=0, inner_lr=0.05, delta=1e-4)
-    b = sitcom_sample(model, op, y, SamplerConfig(algorithm="sitcom", **c3))
+    b = equi_sitcom_sample(model, op, y, None, SamplerConfig(algorithm="sitcom", **c3))
     e = equi_sitcom_sample(model, op, y, probe, SamplerConfig(algorithm="equi-sitcom", **c3))
     checks.append(("equi-sitcom", np.array_equal(b.final, e.final)))
 

@@ -6,6 +6,7 @@ import pytest
 from equiguide.cli import main
 from equiguide.config import ConfigError, load_config, validate_config
 from equiguide.harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
+from equiguide.samplers import ALGORITHMS
 
 
 def small_config(out_dir, algorithm="equi-dps", lam=0.05):
@@ -139,3 +140,79 @@ def test_load_config_round(tmp_path):
     p.write_text(json.dumps(cfg))
     loaded = load_config(p)
     assert loaded["sampler"]["algorithm"] == "equi-dps"
+
+
+RUNNABLE = [name for name, alg in ALGORITHMS.items() if alg.family != "unconditional"]
+
+
+def vector_config(out_dir, algorithm):
+    """Tiny 4-D two-component mixture with an MLP-autoencoder probe.
+
+    Latent families sample a denoiser trained on the probe's 2-D latents and
+    penalize through the decoder; pixel families use a pixel-space denoiser
+    and the encoder, so each probe map takes the sampler's variable as input.
+    """
+    latent = ALGORITHMS[algorithm].family in ("psld", "resample")
+    cov = (0.1 * np.eye(4)).tolist()
+    return {
+        "dataset": {"kind": "gmm-points", "n": 64, "seed": 1, "test_n": 4, "test_seed": 2,
+                    "spec": {"weights": [0.5, 0.5], "means": [[1, 0, 0, 0], [-1, 0, 0, 0]],
+                             "covariances": [cov, cov]}},
+        "schedule": {"T": 40, "beta_min": 1e-3, "beta_max": 0.08},
+        "score_model": {"kind": "trained-denoiser",
+                        "train": {"steps": 20, "batch_size": 16, "seed": 0, "hidden": [16],
+                                  "space": "latent" if latent else "pixel"}},
+        "probe": {"train": {"steps": 20, "batch_size": 16, "seed": 0, "hidden": [16],
+                            "latent_dim": 2, "f": "decoder" if latent else "encoder"},
+                  "action": {"group": "permutation", "perm": [1, 0, 2, 3]},
+                  "latent_action": {"group": "permutation", "perm": [1, 0]}},
+        "operator": {"kind": "random-inpaint", "keep_prob": 0.5, "seed": 1, "sigma_y": 0.05},
+        "sampler": {"algorithm": algorithm, "steps": 5, "k_meas": 2, "k_equi": 1,
+                    "equi": {"lam": 0.1}},
+        "run": {"n_images": 1, "samples_per_image": 1},
+        "seeds": [0],
+        "out_dir": str(out_dir),
+    }
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("algorithm", RUNNABLE)
+def test_cli_runs_every_measurement_algorithm(tmp_path, capsys, algorithm):
+    path = _write_config(tmp_path, vector_config(tmp_path, algorithm))
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0
+    out = capsys.readouterr().out.strip().splitlines()[-1]
+    assert len(json.loads(out)["hash"]) == 64
+
+
+@pytest.mark.parametrize("algorithm", ["dsp", "ancestral", "ddim"])
+def test_cli_rejects_algorithms_that_cannot_run(tmp_path, algorithm):
+    cfg = vector_config(tmp_path, "dps")
+    cfg["sampler"] = {"algorithm": algorithm}
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 2
+    with pytest.raises(ConfigError):
+        validate_config(json.loads((tmp_path / "cfg.json").read_text()))
+
+
+def test_cli_constrained_without_inverse_exits_2(tmp_path, capsys):
+    cfg = vector_config(tmp_path, "equicon-psld")
+    cfg["probe"]["train"]["f"] = "autoencoder"  # no inverse map
+    path = _write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 2
+    assert "inverse" in capsys.readouterr().err
+
+
+def test_sweep_has_no_threads_option(tmp_path):
+    path = _write_config(tmp_path, small_config(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", path, "--threads", "2"])
+    assert exc.value.code == 2

@@ -17,12 +17,7 @@ from equiguide.samplers import (
     equi_psld_sample,
     equi_resample_sample,
     equi_sitcom_sample,
-    equicon_psld_sample,
-    equicon_resample_sample,
     expected_reg_count,
-    psld_sample,
-    resample_sample,
-    sitcom_sample,
     step_indices,
     stochastic_resample,
 )
@@ -237,7 +232,7 @@ def test_psld_reduction_identity():
                          seed=9, record_states=True)
     cfg1 = SamplerConfig(algorithm="equi-psld", steps=30, eta_psld=0.2, gamma_psld=0.05,
                          seed=9, record_states=True, equi=EquiLossConfig(lam=0.0))
-    base = psld_sample(model, ae, op, y, cfg0)
+    base = equi_psld_sample(model, ae, op, y, None, cfg0)
     equi = equi_psld_sample(model, ae, op, y, m, cfg1)
     np.testing.assert_array_equal(base.final, equi.final)
 
@@ -248,8 +243,8 @@ def test_equicon_psld_reduction_identity():
     cfg0 = SamplerConfig(algorithm="psld", steps=20, seed=4, record_states=True)
     cfg1 = SamplerConfig(algorithm="equicon-psld", steps=20, seed=4, record_states=True,
                          equi=EquiLossConfig(lam=0.0))
-    base = psld_sample(model, ae, op, y, cfg0)
-    equi = equicon_psld_sample(model, ae, op, y, m, cfg1)
+    base = equi_psld_sample(model, ae, op, y, None, cfg0)
+    equi = equi_psld_sample(model, ae, op, y, m, cfg1, constrained=True)
     np.testing.assert_array_equal(base.final, equi.final)
 
 
@@ -259,7 +254,7 @@ def test_psld_with_zero_gluing_matches_latent_dps():
                          seed=13, guidance_norm="squared", record_states=True)
     cfgd = SamplerConfig(algorithm="dps", steps=30, zeta=0.25, seed=13,
                          guidance_norm="squared", record_states=True)
-    a = psld_sample(model, ae, op, y, cfgp)
+    a = equi_psld_sample(model, ae, op, y, None, cfgp)
     b = dps_sample(model, op, y, cfgd)
     for sa, sb in zip(a.states, b.states):
         np.testing.assert_array_equal(sa, sb)
@@ -269,14 +264,14 @@ def test_psld_rejects_nonlinear_operator():
     model, ae, _, y = _latent_setup()
     op = make_operator({"kind": "saturate", "scale": 2.0, "sigma_y": 0.05})
     with pytest.raises(SamplerError):
-        psld_sample(model, ae, op, y, SamplerConfig(algorithm="psld", steps=5, seed=0))
+        equi_psld_sample(model, ae, op, y, None, SamplerConfig(algorithm="psld", steps=5, seed=0))
 
 
 def test_psld_gluing_near_zero_for_identity_operator_perfect_ae():
     # A = identity: gluing target reduces to E(A^T y + D(z) - A^T A D(z)) = E(y)
     model, ae, op, y = _latent_setup()
     cfg = SamplerConfig(algorithm="psld", steps=30, eta_psld=0.2, gamma_psld=0.1, seed=2)
-    traj = psld_sample(model, ae, op, y, cfg)
+    traj = equi_psld_sample(model, ae, op, y, None, cfg)
     assert np.isfinite(traj.final).all()
 
 
@@ -288,7 +283,7 @@ def test_resample_empty_set_is_pure_ddim():
     cfg_r = SamplerConfig(algorithm="resample", steps=20, seed=6, resample_steps=[],
                           ddim_eta=0.0, record_states=True)
     cfg_d = SamplerConfig(algorithm="ddim", steps=20, seed=6, ddim_eta=0.0, record_states=True)
-    a = resample_sample(model, ae, op, y, cfg_r)
+    a = equi_resample_sample(model, ae, op, y, None, cfg_r)
     b = ddim_sample(model, cfg_d)
     for sa, sb in zip(a.states, b.states):
         np.testing.assert_array_equal(sa, sb)
@@ -302,9 +297,9 @@ def test_resample_reduction_identity():
     cfg0 = SamplerConfig(algorithm="resample", **common)
     cfg1 = SamplerConfig(algorithm="equi-resample", equi=EquiLossConfig(lam=0.0), **common)
     cfg2 = SamplerConfig(algorithm="equicon-resample", equi=EquiLossConfig(lam=0.0), **common)
-    base = resample_sample(model, ae, op, y, cfg0)
+    base = equi_resample_sample(model, ae, op, y, None, cfg0)
     e1 = equi_resample_sample(model, ae, op, y, m, cfg1)
-    e2 = equicon_resample_sample(model, ae, op, y, m, cfg2)
+    e2 = equi_resample_sample(model, ae, op, y, m, cfg2, constrained=True)
     np.testing.assert_array_equal(base.final, e1.final)
     np.testing.assert_array_equal(base.final, e2.final)
 
@@ -313,7 +308,7 @@ def test_resample_inner_loop_reduces_residual():
     model, ae, op, y = _latent_setup()
     cfg = SamplerConfig(algorithm="resample", steps=15, seed=1, k_meas=10, inner_lr=0.2,
                         gamma_resample=5.0)
-    traj = resample_sample(model, ae, op, y, cfg)
+    traj = equi_resample_sample(model, ae, op, y, None, cfg)
     assert traj.counts["inner_steps"] > 0
     # the final state is data-consistent-ish
     assert np.linalg.norm(op.apply(traj.final) - y) < np.linalg.norm(y) + 1.0
@@ -345,7 +340,7 @@ def test_sitcom_reduction_identity():
     common = dict(steps=10, seed=3, k_meas=4, inner_lr=0.1, delta=1e-4, record_states=True)
     cfg0 = SamplerConfig(algorithm="sitcom", k_equi=0, **common)
     cfg1 = SamplerConfig(algorithm="equi-sitcom", k_equi=0, **common)
-    base = sitcom_sample(model, op, y, cfg0)
+    base = equi_sitcom_sample(model, op, y, None, cfg0)
     equi = equi_sitcom_sample(model, op, y, m, cfg1)
     np.testing.assert_array_equal(base.final, equi.final)
 
@@ -353,7 +348,7 @@ def test_sitcom_reduction_identity():
 def test_sitcom_zero_inner_iterations_when_already_consistent():
     model, op, y = _dps_setup()
     cfg = SamplerConfig(algorithm="sitcom", steps=5, seed=0, k_meas=10, delta=1e6)
-    traj = sitcom_sample(model, op, y, cfg)
+    traj = equi_sitcom_sample(model, op, y, None, cfg)
     assert traj.counts["inner_meas_steps"] == 0  # residual < delta^2 before any step
 
 
