@@ -8,10 +8,11 @@ built while ops execute on tensors that require gradients and freed by
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -26,6 +27,20 @@ __all__ = [
     "downsample_mean", "upsample_repeat",
     "norm_sq", "l2_norm", "dot",
 ]
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc handing the tape's freed 0.1-10 MB arrays back to the OS after every
+    op; re-faulting them cost a quarter of a 16x16 grid sampler step, 40% of a training step."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not glibc
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: serve blocks up to 32 MB from the heap
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: trim the heap only past 256 MB free
+
+
+_keep_freed_heap()
 
 
 class ShapeMismatch(ValueError):
@@ -352,27 +367,19 @@ def matmul(a, b) -> Tensor:
 # -- gather / permutation ops -------------------------------------------------
 
 
-def gather_flat(x, index: np.ndarray, out_shape, mask: np.ndarray | None = None) -> Tensor:
-    """out.flat[j] = x.flat[index[j]] (0 where mask[j] is False).
+def gather_flat(x, index: np.ndarray, out_shape) -> Tensor:
+    """out.flat[j] = x.flat[index[j]].
 
     Backward is the exact scatter-add transpose, so permutations, pads and
     nearest-neighbour resampling all differentiate exactly.
     """
     tx = _ensure_tensor(x)
-    flat = tx.data.reshape(-1)
-    vals = flat[index]
-    if mask is not None:
-        vals = np.where(mask, vals, 0.0)
-    out_data = vals.reshape(out_shape)
+    out_data = tx.data.reshape(-1)[index].reshape(out_shape)
 
     def bwd(g: np.ndarray) -> None:
-        if not tx.requires_grad:
-            return
-        gflat = g.reshape(-1)
-        if mask is not None:
-            gflat = np.where(mask, gflat, 0.0)
-        acc = np.bincount(index, weights=gflat, minlength=tx.size)
-        tx._accumulate(acc.reshape(tx.shape))
+        if tx.requires_grad:
+            acc = np.bincount(index, weights=g.reshape(-1), minlength=tx.size)
+            tx._accumulate(acc.reshape(tx.shape))
 
     return Tensor._wrap(out_data, (tx,), bwd, "gather")
 
@@ -388,53 +395,28 @@ def permute_flat(x, index: np.ndarray) -> Tensor:
 # -- padding, cropping, convolution --------------------------------------------
 
 _PAD_MODES = ("zero", "reflect", "circular")
-_pad_map_cache: dict[tuple, tuple[np.ndarray, np.ndarray | None, tuple[int, ...]]] = {}
+_pad_map_cache: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
 
 
 def _pad_map(shape: tuple[int, ...], ph: int, pw: int, mode: str):
-    """Index map from a spatially padded array back into the source."""
+    """Index map from a reflect- or circular-padded array back into the source."""
     key = (shape, ph, pw, mode)
-    hit = _pad_map_cache.get(key)
-    if hit is not None:
-        return hit
-    h, w = shape[-2], shape[-1]
-    rows = np.arange(-ph, h + ph)
-    cols = np.arange(-pw, w + pw)
-    if mode == "circular":
-        rr, cc = rows % h, cols % w
-        mask = None
-    elif mode == "reflect":
-        if ph >= h or pw >= w:
-            raise ShapeMismatch("reflect padding wider than the source grid")
-        rr = np.abs(rows)
-        rr = np.where(rr >= h, 2 * (h - 1) - rr, rr)
-        cc = np.abs(cols)
-        cc = np.where(cc >= w, 2 * (w - 1) - cc, cc)
-        mask = None
-    elif mode == "zero":
-        rr, cc = rows.copy(), cols.copy()
-        inside_r = (rows >= 0) & (rows < h)
-        inside_c = (cols >= 0) & (cols < w)
-        rr = np.where(inside_r, rr, 0)
-        cc = np.where(inside_c, cc, 0)
-        mask2d = inside_r[:, None] & inside_c[None, :]
-        mask = mask2d
-    else:
-        raise ValueError(f"unknown padding mode '{mode}'")
-
-    lead = shape[:-2]
-    nlead = int(np.prod(lead)) if lead else 1
-    base = np.arange(nlead).reshape(lead + (1, 1)) * (h * w) if lead else 0
-    idx2d = rr[:, None] * w + cc[None, :]
-    index = (base + idx2d).reshape(-1) if lead else idx2d.reshape(-1)
-    if mask is not None:
-        full_mask = np.broadcast_to(mask, lead + mask.shape).reshape(-1) if lead else mask.reshape(-1)
-    else:
-        full_mask = None
-    out_shape = lead + (h + 2 * ph, w + 2 * pw)
-    res = (index, full_mask, out_shape)
-    _pad_map_cache[key] = res
-    return res
+    if key not in _pad_map_cache:
+        h, w = shape[-2], shape[-1]
+        rows, cols = np.arange(-ph, h + ph), np.arange(-pw, w + pw)
+        if mode == "circular":
+            rr, cc = rows % h, cols % w
+        else:
+            if ph >= h or pw >= w:
+                raise ShapeMismatch("reflect padding wider than the source grid")
+            rr, cc = np.abs(rows), np.abs(cols)
+            rr = np.where(rr >= h, 2 * (h - 1) - rr, rr)
+            cc = np.where(cc >= w, 2 * (w - 1) - cc, cc)
+        lead = shape[:-2]
+        base = np.arange(int(np.prod(lead))).reshape(lead + (1, 1)) * (h * w)
+        index = (base + rr[:, None] * w + cc[None, :]).reshape(-1)
+        _pad_map_cache[key] = (index, lead + (h + 2 * ph, w + 2 * pw))
+    return _pad_map_cache[key]
 
 
 def pad2d(x, ph: int, pw: int, mode: str = "zero") -> Tensor:
@@ -455,8 +437,8 @@ def pad2d(x, ph: int, pw: int, mode: str = "zero") -> Tensor:
                 tx._accumulate(g[..., ph : ph + h, pw : pw + w])
 
         return Tensor._wrap(out_data, (tx,), bwd, "pad2d")
-    index, mask, out_shape = _pad_map(tx.shape, ph, pw, mode)
-    return gather_flat(tx, index, out_shape, mask)
+    index, out_shape = _pad_map(tx.shape, ph, pw, mode)
+    return gather_flat(tx, index, out_shape)
 
 
 def crop2d(x, ph: int, pw: int) -> Tensor:
@@ -514,65 +496,84 @@ def conv2d(x, kernel, padding: str = "zero") -> Tensor:
     return _corr2d_valid(xp, tk)
 
 
-def _im2col(arr: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(..., C, Hp, Wp) -> contiguous (..., C*kh*kw, H*W) patch matrix."""
-    win = sliding_window_view(arr, (kh, kw), axis=(-2, -1))
-    if arr.ndim == 3:
-        c, h, w = win.shape[0], win.shape[1], win.shape[2]
-        cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
-        return cols.reshape(c * kh * kw, h * w)
-    b, c, h, w = win.shape[0], win.shape[1], win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(b, c * kh * kw, h * w)
+_PATCH_CHUNK_BYTES = 1 << 20  # patch chunks this size stay in cache for their product
 
 
-def conv2d_mc(x, kernels, padding: str = "zero") -> Tensor:
-    """Multi-channel convolution: input (...,C,H,W), kernels (O,C,kh,kw).
+def _patch_chunks(a4: np.ndarray, kh: int, kw: int):
+    """Yield (batch slice, (b, C*kh*kw, H*Wp) patch matrix) for a zero-padded (B, C, H, W) input.
 
-    Fused equivalent of summing per-channel ``conv2d`` calls; runs as an
-    im2col matrix product so the small networks stay fast.
-    """
+    Rows are laid out with pitch Wp = W + kw - 1, so each kernel offset's patch is
+    one contiguous run (fast to copy); columns i*Wp + j with j >= W are junk."""
+    b, c, h, w = a4.shape
+    hp, wp = h + kh - 1, w + kw - 1
+    flat = np.zeros((b, c, hp * wp + kw - 1))
+    grid = flat[:, :, : hp * wp].reshape(b, c, hp, wp)
+    grid[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = a4
+    sb, sc, se = flat.strides
+    runs = as_strided(flat, (b, c, kh, kw, h * wp), (sb, sc, wp * se, se, se), writeable=False)
+    step = max(1, _PATCH_CHUNK_BYTES // (8 * c * kh * kw * h * wp))
+    for i in range(0, b, step):
+        sl = slice(i, i + step)
+        yield sl, np.ascontiguousarray(runs[sl]).reshape(-1, c * kh * kw, h * wp)
+
+
+def _same_corr(a4: np.ndarray, kmat: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-padded same-size correlation of (B, C, H, W) with (O, C*kh*kw) -> (B, O, H, W)."""
+    b, _, h, w = a4.shape
+    wp = w + kw - 1
+    out = np.empty((b, kmat.shape[0], h * wp))
+    for sl, cols in _patch_chunks(a4, kh, kw):
+        np.matmul(kmat, cols, out=out[sl])
+    return out.reshape(b, -1, h, wp)[..., :w]
+
+
+def conv2d_mc(x, kernels) -> Tensor:
+    """Multi-channel zero-padded convolution: input (...,C,H,W), kernels (O,C,kh,kw).
+
+    Fused equivalent of summing per-channel ``conv2d`` calls: one im2col matrix
+    product per image. The input gradient is the same-size correlation of the
+    output gradient with the flipped, channel-transposed kernels."""
     tx, tk = _ensure_tensor(x), _ensure_tensor(kernels)
     if tk.data.ndim != 4:
         raise ShapeMismatch(f"conv2d_mc kernels must be (O,C,kh,kw), got {tk.shape}")
-    kh, kw = tk.shape[2], tk.shape[3]
+    n_out, c_in, kh, kw = tk.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatch("conv2d_mc kernel dims must be odd")
     if tx.data.ndim not in (3, 4):
         raise ShapeMismatch(f"conv2d_mc input must be (C,H,W) or (B,C,H,W), got {tx.shape}")
-    if tx.shape[-3] != tk.shape[1]:
+    if tx.shape[-3] != c_in:
         raise ShapeMismatch(f"channel mismatch: input {tx.shape} vs kernels {tk.shape}")
-    xp = pad2d(tx, kh // 2, kw // 2, padding)
-    batched = xp.data.ndim == 4
-    n_out, c_in = tk.shape[0], tk.shape[1]
-    h, w = tx.shape[-2], tx.shape[-1]
-
-    cols = _im2col(xp.data, kh, kw)
-    kr = tk.data.reshape(n_out, c_in * kh * kw)
-    prod = np.matmul(kr, cols)
-    out_shape = (xp.shape[0], n_out, h, w) if batched else (n_out, h, w)
-    out_data = prod.reshape(out_shape)
+    x4 = tx.data if tx.data.ndim == 4 else tx.data[None]
+    b, _, h, w = x4.shape
+    out = _same_corr(x4, tk.data.reshape(n_out, -1), kh, kw)
 
     def bwd(g: np.ndarray) -> None:
-        g3 = g.reshape(prod.shape)
+        g4 = g.reshape(out.shape)
         if tk.requires_grad:
-            if batched:
-                dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-            else:
-                dk = g3 @ cols.T
-            tk._accumulate(dk.reshape(tk.shape))
-        if xp.requires_grad:
-            # col2im: scatter the patch gradients back with 9 strided adds
-            dcols = np.matmul(kr.T, g3)
-            lead = (xp.shape[0],) if batched else ()
-            dwin = dcols.reshape(lead + (c_in, kh, kw, h, w))
-            dxp = np.zeros(xp.shape)
-            for u in range(kh):
-                for v in range(kw):
-                    dxp[..., u : u + h, v : v + w] += dwin[..., u, v, :, :]
-            xp._accumulate(dxp)
+            # patches @ g^T, g zero in the junk columns; OpenBLAS threads
+            # g @ patches^T and stalls when the cores are shared
+            g_t = np.zeros((b, h, w + kw - 1, n_out))
+            g_t[:, :, :w] = g4.transpose(0, 2, 3, 1)
+            g_t = g_t.reshape(b, -1, n_out)
+            per_image = np.empty((b, c_in * kh * kw, n_out))
+            for sl, cols in _patch_chunks(x4, kh, kw):
+                np.matmul(cols, g_t[sl], out=per_image[sl])
+            tk._accumulate(per_image.sum(axis=0).T.reshape(tk.shape))
+        if tx.requires_grad:
+            flipped = tk.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            tx._accumulate(_same_corr(g4, flipped, kh, kw).reshape(tx.shape))
 
-    return Tensor._wrap(out_data, (xp, tk), bwd, "conv2d_mc")
+    return Tensor._wrap(out.reshape(tx.shape[:-3] + out.shape[1:]), (tx, tk), bwd, "conv2d_mc")
+
+
+def _block_sum(a: np.ndarray, f: int) -> np.ndarray:
+    """Sum over the f x f blocks of the last two axes, block row by block row: the
+    order of ``sum(axis=(-3, -1))`` on the blocked reshape, without its slow loops."""
+    out = None
+    for i in range(f):
+        row = sum((a[..., i::f, j::f] for j in range(1, f)), a[..., i::f, 0::f])
+        out = row if out is None else out + row
+    return out
 
 
 def downsample_mean(x, factor: int) -> Tensor:
@@ -581,20 +582,25 @@ def downsample_mean(x, factor: int) -> Tensor:
     h, w = tx.shape[-2], tx.shape[-1]
     if h % factor or w % factor:
         raise ShapeMismatch(f"factor {factor} does not divide grid {h}x{w}")
-    lead = tx.shape[:-2]
-    mid = reshape(tx, lead + (h // factor, factor, w // factor, factor))
-    return tmean(mid, axis=(-3, -1))
+    n = float(factor * factor)
+
+    def bwd(g: np.ndarray) -> None:
+        if tx.requires_grad:
+            tx._accumulate((g / n).repeat(factor, -2).repeat(factor, -1))
+
+    return Tensor._wrap(_block_sum(tx.data, factor) / n, (tx,), bwd, "downsample_mean")
 
 
 def upsample_repeat(x, factor: int) -> Tensor:
     """Nearest-neighbour upsampling of the last two axes; adjoint of block-sum."""
     tx = _ensure_tensor(x)
-    h, w = tx.shape[-2], tx.shape[-1]
-    lead = tx.shape[:-2]
-    grid = np.arange(tx.size).reshape(tx.shape)
-    idx = grid.repeat(factor, axis=-2).repeat(factor, axis=-1).reshape(-1)
-    out_shape = lead + (h * factor, w * factor)
-    return gather_flat(tx, idx, out_shape)
+
+    def bwd(g: np.ndarray) -> None:
+        if tx.requires_grad:
+            tx._accumulate(_block_sum(g, factor))
+
+    out_data = tx.data.repeat(factor, -2).repeat(factor, -1)
+    return Tensor._wrap(out_data, (tx,), bwd, "upsample_repeat")
 
 
 # -- composed conveniences -----------------------------------------------------

@@ -152,7 +152,7 @@ class ConvNet:
         batched = x.data.ndim == 4
         h = x
         for i in range(self.n_layers):
-            h = conv2d_mc(h, p[f"K{i}"], padding="zero")
+            h = conv2d_mc(h, p[f"K{i}"])
             b = p[f"b{i}"]
             cout = b.shape[0]
             h = add(h, reshape(b, (cout, 1, 1)))
@@ -268,22 +268,22 @@ class ConvAutoencoder:
             h = reshape(x, (x.shape[0], 1) + x.shape[1:])
         else:
             raise ValueError(f"expected (H, W) or (B, H, W), got {x.shape}")
-        h = relu(add(conv2d_mc(h, p["eK0"], "zero"), reshape(p["eb0"], (-1, 1, 1))))
+        h = relu(add(conv2d_mc(h, p["eK0"]), reshape(p["eb0"], (-1, 1, 1))))
         h = downsample_mean(h, 2)
-        h = relu(add(conv2d_mc(h, p["eK1"], "zero"), reshape(p["eb1"], (-1, 1, 1))))
+        h = relu(add(conv2d_mc(h, p["eK1"]), reshape(p["eb1"], (-1, 1, 1))))
         h = downsample_mean(h, 2)
-        h = add(conv2d_mc(h, p["eK2"], "zero"), reshape(p["eb2"], (-1, 1, 1)))
+        h = add(conv2d_mc(h, p["eK2"]), reshape(p["eb2"], (-1, 1, 1)))
         return h
 
     def decode(self, z: Tensor, params=None) -> Tensor:
         # linear output: off-manifold inputs produce unbounded reconstruction
         # gaps, so probe gradients do not saturate away from the data
         p = params if params is not None else _wrap_params(self.params, False)
-        h = relu(add(conv2d_mc(z, p["dK0"], "zero"), reshape(p["db0"], (-1, 1, 1))))
+        h = relu(add(conv2d_mc(z, p["dK0"]), reshape(p["db0"], (-1, 1, 1))))
         h = upsample_repeat(h, 2)
-        h = relu(add(conv2d_mc(h, p["dK1"], "zero"), reshape(p["db1"], (-1, 1, 1))))
+        h = relu(add(conv2d_mc(h, p["dK1"]), reshape(p["db1"], (-1, 1, 1))))
         h = upsample_repeat(h, 2)
-        out = add(conv2d_mc(h, p["dK2"], "zero"), reshape(p["db2"], (-1, 1, 1)))
+        out = add(conv2d_mc(h, p["dK2"]), reshape(p["db2"], (-1, 1, 1)))
         if z.data.ndim == 3:
             return reshape(out, (self.grid, self.grid))
         return reshape(out, (out.shape[0], self.grid, self.grid))
