@@ -7,7 +7,9 @@ JSON (utf-8) | raw buffer``.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -61,11 +63,21 @@ def read_tensor(fh) -> tuple[np.ndarray, dict]:
         raise ContainerError(f"unparseable header: {exc}") from exc
     if header.get("dtype") != "f64" or header.get("byte-order") != "little-endian":
         raise ContainerError(f"unsupported header {header}")
-    shape = tuple(int(s) for s in header["shape"])
-    count = int(np.prod(shape)) if shape else 1
+    try:
+        shape = tuple(int(s) for s in header["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"bad shape in header {header}") from exc
+    if any(s < 0 for s in shape):
+        raise ContainerError(f"negative dimension in shape {shape}")
+    count = math.prod(shape)
+    # bound the read by what the stream holds, so a corrupt shape cannot
+    # request an arbitrarily large buffer
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if 8 * count > left:
+        raise ContainerError(f"truncated buffer: shape {shape} needs {8 * count} bytes, {left} left")
     buf = fh.read(8 * count)
-    if len(buf) != 8 * count:
-        raise ContainerError("truncated buffer")
     arr = np.frombuffer(buf, dtype="<f8", count=count).reshape(shape).astype(np.float64)
     return arr, header
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward, l2_norm, norm_sq, square, sub, tmean
-from .containers import load_tensors, save_tensors
+from .containers import ContainerError, load_tensors, save_tensors
 from .groups import GroupAction, make_group
 from .models import _canonical_order
 from .nn import Adam, ConvAutoencoder, MlpAutoencoder, _wrap_params
@@ -301,7 +301,7 @@ def save_probe(path, m: EquivariantFunction) -> None:
 def load_probe(path) -> EquivariantFunction:
     tensors, manifest = load_tensors(path)
     if manifest.get("kind") != "equivariant-probe":
-        raise ValueError(f"not a probe checkpoint: {manifest.get('kind')}")
+        raise ContainerError(f"not a probe checkpoint: {manifest.get('kind')}")
     ae_cfg = manifest["ae"]
     ae = MlpAutoencoder.from_config(ae_cfg) if ae_cfg["arch"] == "mlp-ae" else ConvAutoencoder.from_config(ae_cfg)
     ae.set_params({k: tensors[k] for k in tensors})

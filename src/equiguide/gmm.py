@@ -3,6 +3,10 @@
 The mixture prior plays the role of a data distribution whose noised marginals,
 scores and linear-Gaussian posteriors are all available in closed form, so
 sampler output can be judged against exact references.
+
+Guided samplers differentiate through the noised-marginal score at every step,
+so the traced score is one tape op over all components whose vector-Jacobian
+product applies the closed-form Hessian of the mixture log density.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, div, matmul, mul, reshape, sub, texp, tsum
+from .autodiff import Tensor
 
 __all__ = [
     "GMMPrior",
@@ -125,38 +129,35 @@ def _score_cache(prior: GMMPrior, t: int, sched) -> _MarginalCache:
 
 
 def gmm_marginal_score_traced(prior: GMMPrior, x: Tensor, t: int, sched, _cache=None) -> Tensor:
-    """Exact score of the noised mixture as a differentiable tensor graph.
+    """Exact score of the noised mixture as one tape op, ``"gmm_score"``.
 
-    Responsibilities use a detached max-shift, which is exact for softmax.
-    Accepts x of shape (d,) or (n, d).
+    Accepts x of shape (d,) or (n, d). For all K components at once:
+    u_k = C_k^-1 (x - mu_k), q_k = (x - mu_k) . u_k, responsibilities
+    r = softmax_k(logits0_k - q_k / 2) with a max-shift (exact for softmax),
+    and s = -ubar, ubar = sum_k r_k u_k. The Jacobian of s is symmetric, so the
+    VJP of a cotangent g is -sum_k r_k C_k^-1 g + sum_k r_k (u_k . g)(u_k - ubar).
     """
     cache = _cache if _cache is not None else _score_cache(prior, t, sched)
-    squeeze = x.data.ndim == 1
-    xb = reshape(x, (1, x.shape[0])) if squeeze else x
-    n = xb.shape[0]
+    xb = x.data.reshape(-1, x.shape[-1])
+    with np.errstate(all="ignore"):  # finiteness is checked on the result
+        diff = xb[None] - cache.means[:, None]  # (K, n, d)
+        u = diff @ cache.cinvs
+        half_q = 0.5 * (diff * u).sum(axis=2)
+        shift = (cache.logits0[:, None] - half_q).max(axis=0)
+        e = np.exp((cache.logits0[:, None] - shift) - half_q)
+        den = e.sum(axis=0)
+        ubar = (e[..., None] * u).sum(axis=0) / den[:, None]
 
-    qs = []
-    us = []
-    for k in range(len(cache.logits0)):
-        diff = sub(xb, cache.means[k])
-        u = matmul(diff, cache.cinvs[k])
-        q = tsum(mul(diff, u), axis=1, keepdims=True)
-        qs.append(q)
-        us.append(u)
-    logits_val = np.concatenate(
-        [cache.logits0[k] - 0.5 * qs[k].data for k in range(len(qs))], axis=1
-    )
-    shift = logits_val.max(axis=1, keepdims=True)  # constant shift, cancels in softmax
+    def bwd(g: np.ndarray) -> None:
+        g2 = g.reshape(ubar.shape)
+        with np.errstate(all="ignore"):
+            cg = g2 @ cache.cinvs  # rows C_k^-1 g, the cinvs being symmetric
+            r = e / den
+            rug = r * np.einsum("knd,nd->kn", u, g2)
+            gx = np.einsum("kn,knd->nd", rug, u - ubar) - np.einsum("kn,knd->nd", r, cg)
+        x._accumulate(gx.reshape(x.shape))
 
-    num = None
-    den = None
-    for k in range(len(qs)):
-        e = texp(sub(cache.logits0[k] - shift, mul(qs[k], 0.5)))
-        term = mul(e, us[k])
-        num = term if num is None else num + term
-        den = e if den is None else den + e
-    score = mul(div(num, den), -1.0)
-    return reshape(score, (x.shape[0],)) if squeeze else score
+    return Tensor._wrap(-ubar.reshape(x.shape), (x,), bwd, "gmm_score")
 
 
 def gmm_marginal_score(prior: GMMPrior, x: np.ndarray, t: int, sched, _cache=None) -> np.ndarray:

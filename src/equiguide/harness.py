@@ -176,7 +176,10 @@ def build_operator(cfg: dict, grid_shape, mask_size=None):
         spec["shape"] = [h, w]
     if spec["kind"] in ("box-inpaint", "random-inpaint") and "shape" not in spec:
         spec["shape"] = list(grid_shape)
-    return make_operator(spec, grid_shape=tuple(grid_shape))
+    try:
+        return make_operator(spec, grid_shape=tuple(grid_shape))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"operator {spec.get('kind')!r}: {exc}") from exc
 
 
 def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> SamplerConfig:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, add, div, mul, reshape
-from .containers import load_tensors, save_tensors
+from .containers import ContainerError, load_tensors, save_tensors
 from .gmm import GMMPrior, _score_cache, gmm_marginal_score_traced
 from .nn import Adam, ConvNet, Mlp, _wrap_params
 from .schedule import NoiseSchedule, time_features
@@ -187,7 +187,7 @@ def save_score_model(path, model: DenoiserScore) -> None:
 def load_score_model(path) -> DenoiserScore:
     tensors, manifest = load_tensors(path)
     if manifest.get("kind") != "trained-denoiser":
-        raise ValueError(f"not a denoiser checkpoint: {manifest.get('kind')}")
+        raise ContainerError(f"not a denoiser checkpoint: {manifest.get('kind')}")
     net_cfg = manifest["net"]
     net = Mlp.from_config(net_cfg) if net_cfg["arch"] == "mlp" else ConvNet.from_config(net_cfg)
     net.params = {k: tensors[k] for k in net.params}

@@ -111,7 +111,7 @@ def test_a1_gradient_correctness():
         for name, fn, dim in [("measurement", meas_loss, d), ("equi", equi_reg, d),
                               ("equicon", equicon_reg, d_lat), ("psld-gluing", psld_glue, d_lat),
                               ("sitcom-meas", sitcom_stage1, d), ("sitcom-equi", sitcom_stage2, d)]:
-            err = check_gradient(fn, rng.standard_normal(dim), eps=1e-5)
+            err = check_gradient(fn, rng.standard_normal(dim), eps=1e-2)
             worst[name] = max(worst.get(name, 0.0), err)
             assert err < 1e-4, f"{name} trial {trial}: rel err {err}"
 

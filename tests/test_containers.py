@@ -1,4 +1,6 @@
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +52,23 @@ def test_truncated_buffer_raises():
     raw = buf.getvalue()[:-8]
     with pytest.raises(ContainerError):
         read_tensor(io.BytesIO(raw))
+
+
+def _record(shape, payload: bytes) -> io.BytesIO:
+    blob = json.dumps({"shape": shape, "dtype": "f64", "byte-order": "little-endian"}).encode("utf-8")
+    return io.BytesIO(b"TEN1" + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def test_huge_declared_shape_raises_before_reading():
+    # a tiny stream whose header claims 8e15 bytes must not be allocated
+    with pytest.raises(ContainerError, match="truncated buffer"):
+        read_tensor(_record([10**9, 10**6], b"\x00" * 16))
+
+
+@pytest.mark.parametrize("shape", [[-4], "4x", [[4]], [-2, -2]])
+def test_bad_declared_shape_raises(shape):
+    with pytest.raises(ContainerError, match="shape"):
+        read_tensor(_record(shape, b"\x00" * 32))
 
 
 def test_multi_tensor_file_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from equiguide.autodiff import Tensor, backward, tsum
+from equiguide.autodiff import NonFiniteValue, Tensor, backward, check_gradient, mul, tsum
 from equiguide.gmm import (
     GMMPrior,
     gmm_logpdf,
@@ -113,6 +115,50 @@ def test_traced_score_is_differentiable():
     s = gmm_marginal_score_traced(prior, x, 10, SCHED)
     backward(tsum(s))
     assert x.grad is not None and np.isfinite(x.grad).all()
+
+
+SCHED1000 = make_linear_schedule(1000, 1e-4, 0.02)
+
+
+def anisotropic_mixture(rng, k=5, d=3):
+    """Unequal weights, spread means and random SPD covariances."""
+    weights = rng.random(k) + 0.2
+    factors = 0.6 * rng.standard_normal((k, d, d))
+    covs = factors @ np.swapaxes(factors, 1, 2) + 0.1 * np.eye(d)
+    return GMMPrior(weights / weights.sum(), 1.5 * rng.standard_normal((k, d)), covs)
+
+
+@pytest.mark.parametrize("t", [1, 100, 1000])
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_traced_score_gradient_matches_finite_differences(t, shape):
+    rng = np.random.default_rng(t + len(shape))
+    prior = anisotropic_mixture(rng)
+    w = Tensor(rng.standard_normal(shape))
+    x = rng.standard_normal(shape)
+    err = check_gradient(lambda v: tsum(mul(gmm_marginal_score_traced(prior, v, t, SCHED1000), w)), x)
+    assert err < 1e-4
+
+
+def test_traced_score_is_one_tape_op(monkeypatch):
+    prior = anisotropic_mixture(np.random.default_rng(0))
+    ops = []
+    wrap = Tensor._wrap
+    monkeypatch.setattr(Tensor, "_wrap", classmethod(
+        lambda cls, data, parents, bwd, op: ops.append(op) or wrap(data, parents, bwd, op)))
+    for shape in [(3,), (6, 3)]:
+        ops.clear()
+        x = Tensor(np.ones(shape), requires_grad=True)
+        s = gmm_marginal_score_traced(prior, x, 10, SCHED)
+        assert ops == ["gmm_score"] and s.shape == shape and s._parents == (x,)
+
+
+def test_traced_score_overflow_raises_without_warnings():
+    prior = anisotropic_mixture(np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.full(3, 1e200), np.full((2, 3), 1e200)):
+            with pytest.raises(NonFiniteValue):
+                gmm_marginal_score_traced(prior, Tensor(x, requires_grad=True), 10, SCHED)
 
 
 def test_sampling_moments():

@@ -216,3 +216,30 @@ def test_sweep_has_no_threads_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", path, "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_checkpoint_of_the_wrong_kind_exits_2(tmp_path, capsys):
+    cfg = vector_config(tmp_path, "equi-dps")
+    path = _write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    capsys.readouterr()
+    cfg["score_model"]["checkpoint"] = str(tmp_path / "probe.eqc")
+    assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "not a denoiser checkpoint" in capsys.readouterr().err
+    cfg["score_model"]["checkpoint"] = str(tmp_path / "denoiser.eqc")
+    cfg["probe"]["checkpoint"] = str(tmp_path / "denoiser.eqc")
+    assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "not a probe checkpoint" in capsys.readouterr().err
+
+
+def test_cli_bad_operator_value_exits_2(tmp_path, capsys):
+    cfg = vector_config(tmp_path, "dps")
+    cfg["score_model"] = {"kind": "analytic-gmm", "prior": cfg["dataset"]["spec"]}
+    del cfg["probe"]
+    cfg["operator"]["keep_prob"] = 2.0
+    path = _write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "keep_prob" in err
