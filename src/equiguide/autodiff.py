@@ -9,10 +9,10 @@ built while ops execute on tensors that require gradients and freed by
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -21,11 +21,11 @@ __all__ = [
     "backward",
     "check_gradient",
     "add", "sub", "mul", "div", "neg", "matmul",
-    "tsum", "tmean", "relu", "tanh", "sigmoid", "square", "sqrt", "texp",
+    "tsum", "tmean", "relu", "tanh", "square", "sqrt",
     "reshape", "permute_flat", "gather_flat",
     "pad2d", "crop2d", "conv2d", "conv2d_mc",
     "downsample_mean", "upsample_repeat",
-    "norm_sq", "l2_norm", "dot",
+    "norm_sq", "l2_norm",
 ]
 
 
@@ -274,28 +274,12 @@ def tanh(x) -> Tensor:
     return _unary(x, "tanh", np.tanh, lambda g, x_, y: g * (1.0 - y * y))
 
 
-def sigmoid(x) -> Tensor:
-    def fwd(d):
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ez = np.exp(d[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    return _unary(x, "sigmoid", fwd, lambda g, x_, y: g * y * (1.0 - y))
-
-
 def square(x) -> Tensor:
     return _unary(x, "square", np.square, lambda g, x_, y: g * 2.0 * x_)
 
 
 def sqrt(x) -> Tensor:
     return _unary(x, "sqrt", np.sqrt, lambda g, x_, y: g * 0.5 / y)
-
-
-def texp(x) -> Tensor:
-    return _unary(x, "exp", np.exp, lambda g, x_, y: g * y)
 
 
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -455,33 +439,12 @@ def crop2d(x, ph: int, pw: int) -> Tensor:
     return gather_flat(tx, index, out_shape)
 
 
-def _corr2d_valid(xp, kernel) -> Tensor:
-    """Valid cross-correlation of the last two axes with one 2-D kernel."""
-    txp, tk = _ensure_tensor(xp), _ensure_tensor(kernel)
-    kh, kw = tk.shape
-    win = sliding_window_view(txp.data, (kh, kw), axis=(-2, -1))
-    out_data = np.einsum("...ijuv,uv->...ij", win, tk.data, optimize=True)
-
-    def bwd(g: np.ndarray) -> None:
-        if txp.requires_grad:
-            gfull = np.pad(
-                g, [(0, 0)] * (g.ndim - 2) + [(kh - 1, kh - 1), (kw - 1, kw - 1)]
-            )
-            wing = sliding_window_view(gfull, (kh, kw), axis=(-2, -1))
-            txp._accumulate(
-                np.einsum("...ijuv,uv->...ij", wing, tk.data[::-1, ::-1], optimize=True)
-            )
-        if tk.requires_grad:
-            winx = sliding_window_view(txp.data, (kh, kw), axis=(-2, -1))
-            tk._accumulate(np.einsum("...ijuv,...ij->uv", winx, g, optimize=True))
-
-    return Tensor._wrap(out_data, (txp, tk), bwd, "corr2d")
-
-
 def conv2d(x, kernel, padding: str = "zero") -> Tensor:
     """Same-size 2-D cross-correlation of an HxW or CxHxW input with one kxk kernel.
 
     Linear in both input and kernel; padding mode controls boundary handling.
+    The input is padded by k//2 in that mode, correlated per channel by
+    ``conv2d_mc`` (whose own zero border then falls outside), and cropped back.
     """
     tx, tk = _ensure_tensor(x), _ensure_tensor(kernel)
     if tk.data.ndim != 2 or tk.shape[0] != tk.shape[1]:
@@ -493,7 +456,10 @@ def conv2d(x, kernel, padding: str = "zero") -> Tensor:
         raise ShapeMismatch(f"conv2d input must be HxW or CxHxW, got {tx.shape}")
     p = k // 2
     xp = pad2d(tx, p, p, padding) if p > 0 else tx
-    return _corr2d_valid(xp, tk)
+    hp, wp = xp.shape[-2:]
+    out = conv2d_mc(reshape(xp, (-1, 1, hp, wp)), reshape(tk, (1, 1, k, k)))
+    out = reshape(out, xp.shape)
+    return crop2d(out, p, p) if p > 0 else out
 
 
 _PATCH_CHUNK_BYTES = 1 << 20  # patch chunks this size stay in cache for their product
@@ -612,10 +578,6 @@ def norm_sq(x) -> Tensor:
 
 def l2_norm(x) -> Tensor:
     return sqrt(norm_sq(x))
-
-
-def dot(a, b) -> Tensor:
-    return tsum(mul(a, b))
 
 
 def check_gradient(f, x, eps: float = 1e-2) -> float:

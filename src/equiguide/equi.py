@@ -10,7 +10,7 @@ variant routes the gap through a paired inverse map instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class EquiLossConfig:
     period: int = 1
     early_stop_frac: float = 0.1
     norm: str = "squared-l2"  # or "l2"
-    element_policy: str = "random-per-call"  # or "fixed"
-    fixed_element: int | None = None
-    subset: list[int] | None = None
 
     def __post_init__(self):
         if self.lam < 0:
@@ -54,24 +51,6 @@ class EquiLossConfig:
             raise ValueError("early-stop fraction must lie in [0, 1)")
         if self.norm not in ("squared-l2", "l2"):
             raise ValueError(f"unknown norm '{self.norm}'")
-
-    def draw_element(self, action, rng: np.random.Generator) -> int:
-        if self.element_policy == "fixed":
-            if self.fixed_element is None:
-                raise ValueError("fixed element policy needs fixed_element")
-            return self.fixed_element
-        return action.random_element(rng, subset=self.subset)
-
-    def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "period": self.period,
-            "early_stop_frac": self.early_stop_frac,
-            "norm": self.norm,
-            "element_policy": self.element_policy,
-            "fixed_element": self.fixed_element,
-            "subset": self.subset,
-        }
 
 
 class EquivariantFunction:
@@ -110,24 +89,20 @@ def _norm_of(diff: Tensor, norm: str) -> Tensor:
 def equi_error(m: EquivariantFunction, g: int, z, norm: str = "l2") -> float:
     """Size of S_g(f(z)) - f(T_g(z)); zero iff f commutes with the pair at z."""
     zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=np.float64))
-    a = m.action.apply_codomain(g, m.apply_f(zt))
-    b = m.apply_f(m.action.apply_domain(g, zt))
-    if a.shape != b.shape:
-        raise ValueError(f"codomain shapes differ: {a.shape} vs {b.shape}")
-    return float(_norm_of(sub(a, b), norm).item())
+    return equi_loss(m, zt, g, EquiLossConfig(norm=norm)).item()
 
 
 def equi_loss(m: EquivariantFunction, x0t: Tensor, rng_or_g, cfg: EquiLossConfig | None = None) -> Tensor:
     """Differentiable equivariance gap at the current clean-signal estimate.
 
-    ``rng_or_g`` is either a Generator (an element is drawn per the config
-    policy) or an explicit element index.
+    ``rng_or_g`` is either a Generator (a uniform non-identity element is
+    drawn) or an explicit element index.
     """
     cfg = cfg or EquiLossConfig(norm="squared-l2")
     if isinstance(rng_or_g, (int, np.integer)):
         g = int(rng_or_g)
     else:
-        g = cfg.draw_element(m.action, rng_or_g)
+        g = m.action.random_element(rng_or_g)
     a = m.action.apply_codomain(g, m.apply_f(x0t))
     b = m.apply_f(m.action.apply_domain(g, x0t))
     if a.shape != b.shape:
@@ -143,7 +118,7 @@ def equicon_loss(m: EquivariantFunction, z0t: Tensor, rng_or_g, cfg: EquiLossCon
     if isinstance(rng_or_g, (int, np.integer)):
         g = int(rng_or_g)
     else:
-        g = cfg.draw_element(m.action, rng_or_g)
+        g = m.action.random_element(rng_or_g)
     fx = m.apply_f(m.action.apply_domain(g, z0t))
     back_ = m.action.apply_codomain(m.action.inverse(g), fx)
     cycled = m.apply_h(back_)
@@ -178,8 +153,10 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     (uniform non-identity element). Returns a probe whose map is chosen by
     cfg["f"]; holds the underlying autoencoder in ``meta``.
 
-    cfg keys: steps, batch_size, lr, seed, arch (mlp-ae | conv-ae), hidden,
-    latent_dim, channels, latent_channels, augment, f, latent_action.
+    The architecture follows the data shape: vectors get an MLP autoencoder,
+    square grids a conv autoencoder.
+    cfg keys: steps, batch_size, lr, seed, hidden, latent_dim (vectors),
+    channels, latent_channels (grids), augment, f, latent_action.
     """
     cfg = dict(cfg or {})
     items = np.asarray([np.asarray(a, dtype=np.float64) for a in dataset])

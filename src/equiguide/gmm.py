@@ -11,9 +11,7 @@ product applies the closed-form Hessian of the mixture log density.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +27,6 @@ __all__ = [
     "gmm_marginal_score_traced",
     "posterior_mean_x0",
     "gmm_posterior_exact",
-    "save_gmm_json",
-    "load_gmm_json",
 ]
 
 
@@ -249,21 +245,3 @@ def gmm_posterior_exact(prior: GMMPrior, A, sigma_y: float, y: np.ndarray) -> Po
     w /= w.sum()
     post = GMMPrior(w, new_means, new_covs)
     return PosteriorOracle(posterior=post, operator_matrix=M, sigma_y=sigma_y, y=yv)
-
-
-def save_gmm_json(path, gm: GMMPrior) -> None:
-    payload = {
-        "weights": gm.weights.tolist(),
-        "means": gm.means.tolist(),
-        "covariances": gm.covariances.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
-
-
-def load_gmm_json(path) -> GMMPrior:
-    payload = json.loads(Path(path).read_text())
-    return GMMPrior(
-        np.asarray(payload["weights"]),
-        np.asarray(payload["means"]),
-        np.asarray(payload["covariances"]),
-    )

@@ -158,10 +158,9 @@ class GroupAction:
     def apply_codomain(self, g: int, x):
         return self.codomain.apply(g % self.order, x)
 
-    def random_element(self, rng: np.random.Generator, subset=None) -> int:
-        """Uniform draw over non-identity elements (or a caller-supplied subset)."""
-        pool = [g % self.order for g in subset] if subset is not None else self.elements[1:]
-        pool = [g for g in pool if g != 0]
+    def random_element(self, rng: np.random.Generator) -> int:
+        """Uniform draw over the non-identity elements."""
+        pool = self.elements[1:]
         if not pool:
             raise ValueError("no non-identity elements to sample")
         return int(pool[rng.integers(0, len(pool))])

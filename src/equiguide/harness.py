@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_SCHEDULE, ConfigError
-from .containers import save_tensors
 from .datasets import Dataset, generate, load_dataset, ring_distance, save_dataset
 from .equi import EquiLossConfig, load_probe, save_probe, train_autoencoder_augmented
 from .gmm import GMMPrior, gmm_posterior_exact, sample_gmm
@@ -318,8 +317,9 @@ def cmd_run(cfg: dict, out_dir=None, seeds=None) -> dict:
         row = run_cell(cfg, model, probe, test_ds.items, seed)
         rows.append(row)
 
+    # where the outputs go is not part of what was run
     deterministic = {
-        "config": cfg,
+        "config": {k: v for k, v in cfg.items() if k != "out_dir"},
         "seeds": seeds,
         "code_version": __version__,
         "results": [{k: v for k, v in r.items() if k != "runtime_s"} for r in rows],

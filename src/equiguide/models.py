@@ -69,21 +69,22 @@ class DenoiserScore:
         self.trained = trained
         self.loss_history = loss_history or []
 
-    def _eps(self, x: Tensor, t: int, params=None) -> Tensor:
-        grid = len(self.data_shape) == 2
-        batched = x.data.ndim == len(self.data_shape) + 1
-        cond = time_features(t, self.schedule)
-        if batched:
-            cond = np.tile(cond, (x.shape[0], 1))
-        if grid:
-            h = reshape(x, ((x.shape[0], 1) if batched else (1,)) + self.data_shape)
-            out = self.net.forward(h, cond=cond, params=params)
-            return reshape(out, x.shape)
-        return self.net.forward(x, cond=cond, params=params)
+    def eps(self, x: Tensor, cond: np.ndarray, params=None) -> Tensor:
+        """The net's noise prediction for one item or a batch, with matching cond rows.
+
+        The one place data meets the net's layout: vectors and (C, h, w)
+        latents pass as they are, 2-D grids get a channel axis of 1.
+        """
+        if len(self.data_shape) != 2:
+            return self.net.forward(x, cond=cond, params=params)
+        h = reshape(x, x.shape[:-2] + (1,) + self.data_shape)
+        return reshape(self.net.forward(h, cond=cond, params=params), x.shape)
 
     def score_traced(self, x: Tensor, t: int, params=None) -> Tensor:
-        eps = self._eps(x, t, params=params)
-        return div(eps, -np.sqrt(1.0 - self.schedule.abar(t)))
+        cond = time_features(t, self.schedule)
+        if x.data.ndim == len(self.data_shape) + 1:
+            cond = np.tile(cond, (x.shape[0], 1))
+        return div(self.eps(x, cond, params=params), -np.sqrt(1.0 - self.schedule.abar(t)))
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.score_traced(Tensor(np.asarray(x, dtype=np.float64)), t).data
@@ -112,7 +113,8 @@ def _canonical_order(items: np.ndarray) -> np.ndarray:
 def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> DenoiserScore:
     """Denoising score-matching training of a small epsilon net.
 
-    Vectors get an MLP (3x128 hidden by default), grids a 4-layer conv net.
+    Vectors get an MLP (3x128 hidden by default); 2-D grids and (C, h, w)
+    latents a 4-layer conv net with 1 or C channels.
     cfg keys: steps, batch_size, lr, seed, hidden, width.
     """
     from .autodiff import backward, tmean, square
@@ -122,8 +124,8 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
     if items.size == 0:
         raise ValueError("dataset must be nonempty")
     data_shape = items.shape[1:]
-    if len(data_shape) not in (1, 2):
-        raise ValueError(f"expected vector or grid data, got shape {data_shape}")
+    if len(data_shape) not in (1, 2, 3):
+        raise ValueError(f"expected vector, grid or (C, h, w) data, got shape {data_shape}")
     items = _canonical_order(items)
 
     seed = int(cfg.get("seed", 0))
@@ -136,7 +138,8 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
         hidden = list(cfg.get("hidden", [128, 128, 128]))
         net = Mlp(data_shape[0], hidden, data_shape[0], rng, cond_dim=8)
     else:
-        net = ConvNet(1, int(cfg.get("width", 32)), rng, cond_dim=8)
+        channels = data_shape[0] if len(data_shape) == 3 else 1
+        net = ConvNet(channels, int(cfg.get("width", 32)), rng, cond_dim=8)
 
     model = DenoiserScore(net, sched, data_shape, trained=False)
     if steps == 0:
@@ -155,12 +158,7 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
 
             params = _wrap_params(net.params, True)
             cond = np.stack([time_features(int(t), sched) for t in ts])
-            if len(data_shape) == 2:
-                xin = Tensor(x_t.reshape(batch, 1, *data_shape))
-                pred = net.forward(xin, cond=cond, params=params)
-                pred = reshape(pred, x_t.shape)
-            else:
-                pred = net.forward(Tensor(x_t), cond=cond, params=params)
+            pred = model.eps(Tensor(x_t), cond, params=params)
             loss = tmean(square(pred - Tensor(eps)))
             backward(loss)
             history.append(loss.item())

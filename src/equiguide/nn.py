@@ -14,10 +14,8 @@ from .autodiff import (
     add,
     conv2d_mc,
     matmul,
-    mul,
     relu,
     reshape,
-    sigmoid,
     tanh,
     upsample_repeat,
     downsample_mean,
@@ -70,13 +68,12 @@ class Mlp:
     """Fully connected net with an additive conditioning input on layer one."""
 
     def __init__(self, in_dim: int, hidden: list[int], out_dim: int, rng: np.random.Generator,
-                 cond_dim: int = 0, activation: str = "relu", out_activation: str | None = None):
+                 cond_dim: int = 0, activation: str = "relu"):
         self.in_dim = in_dim
         self.hidden = list(hidden)
         self.out_dim = out_dim
         self.cond_dim = cond_dim
         self.activation = activation
-        self.out_activation = out_activation
         self.params: dict[str, np.ndarray] = {}
         dims = [in_dim] + self.hidden + [out_dim]
         for i in range(len(dims) - 1):
@@ -100,10 +97,6 @@ class Mlp:
             h = add(matmul(h, p[f"W{i}"]), p[f"b{i}"])
             if i < n_layers - 1:
                 h = self._act(h)
-        if self.out_activation == "tanh":
-            h = tanh(h)
-        elif self.out_activation == "sigmoid":
-            h = sigmoid(h)
         return h
 
     def config(self) -> dict:
@@ -114,15 +107,13 @@ class Mlp:
             "out_dim": self.out_dim,
             "cond_dim": self.cond_dim,
             "activation": self.activation,
-            "out_activation": self.out_activation,
         }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Mlp":
         return cls(cfg["in_dim"], list(cfg["hidden"]), cfg["out_dim"],
                    np.random.default_rng(0), cond_dim=cfg.get("cond_dim", 0),
-                   activation=cfg.get("activation", "relu"),
-                   out_activation=cfg.get("out_activation"))
+                   activation=cfg.get("activation", "relu"))
 
 
 class ConvNet:

@@ -21,7 +21,6 @@ from .autodiff import (
     mul,
     tanh,
     tsum,
-    upsample_repeat,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Measurement",
     "make_operator",
     "forward",
-    "vjp",
     "gaussian_kernel",
     "motion_kernel",
 ]
@@ -235,7 +233,3 @@ def forward(op: MeasurementOperator, x: np.ndarray, rng) -> Measurement:
         rng = np.random.default_rng(seed)
     y = clean + op.sigma_y * rng.standard_normal(clean.shape) if op.sigma_y > 0 else clean
     return Measurement(y=y, operator_spec=dict(op.spec), sigma_y=op.sigma_y, seed=seed)
-
-
-def vjp(op: MeasurementOperator, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-    return op.vjp(x, cotangent)

@@ -4,13 +4,14 @@ Every sampler is one chain skeleton, ``_chain``, driving a family's step body.
 The skeleton splits the seed into independent chain-noise and regularizer
 generators, draws the initial state, walks the (t, s) step pairs, checks each
 new state is finite, and collects the step records, the recorded states and
-x0 estimates and the final ``Trajectory``. A step body maps one state to the
-next and reports that step's losses. Bodies differentiate through ``_tape``
-(a fresh leaf whose non-finite tape values become ``SamplerError``) and
-``_grad`` (backward plus a finite-gradient check).
+the final ``Trajectory``. A step body maps one state to the next and reports
+that step's losses. Bodies differentiate through ``_tape`` (a fresh leaf whose
+non-finite tape values become ``SamplerError``) and ``_grad`` (backward plus a
+finite-gradient check).
 
 Every guided sampler differentiates its losses through the Tweedie map (full
-chain rule through the score model) on a per-step tape. Because chain noise
+chain rule through the score model) on a per-step tape; measurement losses are
+squared residual norms. DDIM transitions are deterministic. Because chain noise
 and regularizer element draws come from separate generators, an arm with the
 regularizer disabled is bit-identical to its baseline and an arm with it
 enabled sees the same chain noise.
@@ -32,12 +33,10 @@ from .autodiff import (
     NonFiniteValue,
     Tensor,
     backward,
-    l2_norm,
     matmul,
     mul,
     norm_sq,
     reshape,
-    sqrt,
     square,
     sub,
     tsum,
@@ -108,10 +107,7 @@ class SamplerConfig:
     closeness_weight: float = 1e-2
     equi: EquiLossConfig = field(default_factory=EquiLossConfig)
     seed: int = 0
-    ddim_eta: float = 0.0
     resample_steps: object = "all"  # "all" | list of step positions
-    guidance_norm: str = "squared"  # "squared" | "plain"
-    detach_regularizer: bool = False
     record_states: bool = False
 
     def __post_init__(self):
@@ -123,15 +119,8 @@ class SamplerConfig:
             raise ValueError("guidance weights must be >= 0")
         if self.k_meas < 0 or self.k_equi < 0:
             raise ValueError("inner step counts must be >= 0")
-        if self.guidance_norm not in ("squared", "plain"):
-            raise ValueError("guidance_norm must be 'squared' or 'plain'")
         if isinstance(self.equi, dict):
             self.equi = EquiLossConfig(**self.equi)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["equi"] = self.equi.to_dict()
-        return out
 
 
 @dataclass
@@ -148,7 +137,6 @@ class Trajectory:
     counts: dict
     config: dict
     states: list | None = None
-    x0_estimates: list | None = None
 
     def assert_finite(self):
         if not np.all(np.isfinite(self.final)):
@@ -179,14 +167,11 @@ def _ancestral_step(sched, t: int, s: int, x, x0, noise: np.random.Generator) ->
     return c1 * x + c2 * x0 + sig * noise.standard_normal(x.shape)
 
 
-def _ddim_step(sched, t: int, s: int, eta: float, x, x0, noise: np.random.Generator) -> np.ndarray:
-    """DDIM transition from time t to s given the clean estimate x0."""
+def _ddim_step(sched, t: int, s: int, x, x0) -> np.ndarray:
+    """Deterministic DDIM transition from time t to s given the clean estimate x0."""
     abar_t, abar_s = sched.abar(t), sched.abar(s)
-    sig = eta * np.sqrt((1.0 - abar_s) / (1.0 - abar_t)) * np.sqrt(1.0 - abar_t / abar_s)
-    dir_coef = np.sqrt(max(1.0 - abar_s - sig * sig, 0.0))
     eps_hat = (x - np.sqrt(abar_t) * x0) / np.sqrt(1.0 - abar_t)
-    x = np.sqrt(abar_s) * x0 + dir_coef * eps_hat
-    return x + sig * noise.standard_normal(x.shape) if sig > 0 else x
+    return np.sqrt(abar_s) * x0 + np.sqrt(1.0 - abar_s) * eps_hat
 
 
 def _reg_plan(N: int, equi_cfg: EquiLossConfig, enabled: bool) -> list[bool]:
@@ -200,11 +185,6 @@ def _reg_plan(N: int, equi_cfg: EquiLossConfig, enabled: bool) -> list[bool]:
 def expected_reg_count(N: int, equi_cfg: EquiLossConfig) -> int:
     active = N - int(np.floor(equi_cfg.early_stop_frac * N))
     return int(np.ceil(active / equi_cfg.period)) if equi_cfg.lam > 0 else 0
-
-
-def _meas_loss(y: np.ndarray, op: MeasurementOperator, x0t: Tensor, norm: str) -> Tensor:
-    resid = sub(y, op.apply(x0t))
-    return norm_sq(resid) if norm == "squared" else l2_norm(resid)
 
 
 def _reg_loss(m: EquivariantFunction | None, constrained: bool):
@@ -259,7 +239,6 @@ def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> 
     x = noise.standard_normal(shape)
     records: list[StepRecord] = []
     states = [] if cfg.record_states else None
-    x0s = [] if cfg.record_states else None
     for i, (t, s) in enumerate(_pairs(model.schedule.T, cfg.steps)):
         x, x0, meas, reg = step(i, t, s, x, noise, equi_rng)
         if not np.all(np.isfinite(x)):
@@ -267,9 +246,8 @@ def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> 
         records.append(StepRecord(t=t, meas_loss=float(meas), equi_loss=float(reg)))
         if states is not None:
             states.append(x.copy())
-            x0s.append(x0.copy())
     traj = Trajectory(records=records, final=x if final is None else final(x, x0),
-                      counts=counts, config=cfg.to_dict(), states=states, x0_estimates=x0s)
+                      counts=counts, config=asdict(cfg), states=states)
     traj.assert_finite()
     return traj
 
@@ -285,7 +263,7 @@ def _unconditional(model, cfg: SamplerConfig, n: int | None, use_ddim: bool) -> 
         x0 = tweedie_x0(x, t, model)
         counts["score_evals"] += 1
         if use_ddim:
-            return _ddim_step(sched, t, s, cfg.ddim_eta, x, x0, noise), x0, 0.0, 0.0
+            return _ddim_step(sched, t, s, x, x0), x0, 0.0, 0.0
         return _ancestral_step(sched, t, s, x, x0, noise), x0, 0.0, 0.0
 
     return _chain(model, cfg, _shape(model, n), step, counts)
@@ -323,32 +301,23 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
     counts = _counts()
 
     def step(i, t, s, x, noise, equi_rng):
-        r_val, reg_grad = 0.0, None
+        r_val = 0.0
         with _tape(x, t) as leaf:
             x0t = tweedie_x0_traced(leaf, t, model)
             counts["score_evals"] += 1
             resid = sub(y, op.apply(x0t))
             axes = tuple(range(1, resid.data.ndim)) if n_chains is not None else None
             sq = tsum(square(resid), axis=axes)  # per-chain squared residual
-            per = sqrt(sq) if cfg.guidance_norm == "plain" else sq
             scale = cfg.zeta / (np.sqrt(sq.data) + 1e-12) if cfg.zeta_normalized else cfg.zeta
-            total = mul(per, scale) if n_chains is None else tsum(mul(per, scale))
+            total = mul(sq, scale) if n_chains is None else tsum(mul(sq, scale))
             counts["guidance_grads"] += 1
             if plan[i]:
-                if cfg.detach_regularizer:
-                    with _tape(x0t.data, t) as x0_leaf:
-                        r = equi_loss(m, x0_leaf, equi_rng, cfg.equi)
-                        reg_grad = cfg.equi.lam * _grad(r, x0_leaf, t)
-                else:
-                    r = equi_loss(m, x0t, equi_rng, cfg.equi)
-                    total = total + mul(r, cfg.equi.lam)
+                r = equi_loss(m, x0t, equi_rng, cfg.equi)
+                total = total + mul(r, cfg.equi.lam)
                 r_val = r.data.item()
                 counts["equi_grads"] += 1
             grad = _grad(total, leaf, t)
-        x_next = _ancestral_step(sched, t, s, x, x0t.data, noise) - grad
-        if reg_grad is not None:
-            x_next = x_next - reg_grad
-        return x_next, x0t.data, np.sum(sq.data), r_val
+        return _ancestral_step(sched, t, s, x, x0t.data, noise) - grad, x0t.data, np.sum(sq.data), r_val
 
     return _chain(model, cfg, _shape(model, n_chains), step, counts)
 
@@ -399,7 +368,7 @@ def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
         v, meas_val = descend(x.copy(), t, cfg.k_meas, meas, ("guidance_grads", "inner_meas_steps"))
         r_val = 0.0
         if m is not None and cfg.k_equi > 0:
-            g_el = cfg.equi.draw_element(m.action, equi_rng)
+            g_el = m.action.random_element(equi_rng)
 
             def equi(leaf):
                 r = equi_loss(m, leaf, g_el, cfg.equi)
@@ -450,10 +419,9 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
             z0t = tweedie_x0_traced(leaf, t, model)
             counts["score_evals"] += 1
             dz = ae.decode(z0t)
-            meas = _meas_loss(y, op, dz, cfg.guidance_norm)
+            meas = norm_sq(sub(y, op.apply(dz)))
             atadz = reshape(matmul(reshape(op.apply(dz), (-1,)), M), pix_shape)
-            glue_diff = sub(z0t, ae.encode(Tensor(aty) + dz - atadz))
-            glue = norm_sq(glue_diff) if cfg.guidance_norm == "squared" else l2_norm(glue_diff)
+            glue = norm_sq(sub(z0t, ae.encode(Tensor(aty) + dz - atadz)))
             counts["guidance_grads"] += 1
             total = mul(meas, cfg.eta_psld) + mul(glue, cfg.gamma_psld)
             if plan[i]:
@@ -504,11 +472,11 @@ def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
     def step(i, t, s, z, noise, equi_rng):
         x0 = tweedie_x0(z, t, model)
         counts["score_evals"] += 1
-        z_prime = _ddim_step(sched, t, s, cfg.ddim_eta, z, x0, noise)
+        z_prime = _ddim_step(sched, t, s, z, x0)
         meas_val = r_val = 0.0
         if i not in members:
             return z_prime, x0, meas_val, r_val
-        g_el = cfg.equi.draw_element(m.action, equi_rng) if event_reg[i] else None
+        g_el = m.action.random_element(equi_rng) if event_reg[i] else None
         v, initial = x0.copy(), None
         for _ in range(cfg.k_meas):
             with _tape(v, t) as leaf:

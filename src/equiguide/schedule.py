@@ -17,16 +17,14 @@ __all__ = ["NoiseSchedule", "make_linear_schedule", "time_features"]
 class NoiseSchedule:
     """Per-step noise rates and the derived cumulative quantities.
 
-    beta, alpha, alpha_bar and sigma_tilde are arrays of length T with entry
-    i corresponding to t = i + 1. sigma_tilde is the ancestral posterior
-    standard deviation sqrt(beta_t (1 - abar_{t-1}) / (1 - abar_t)).
+    beta, alpha and alpha_bar are arrays of length T with entry i
+    corresponding to t = i + 1.
     """
 
     T: int
     beta: np.ndarray
     alpha: np.ndarray = field(repr=False, default=None)
     alpha_bar: np.ndarray = field(repr=False, default=None)
-    sigma_tilde: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -38,12 +36,9 @@ class NoiseSchedule:
             raise ValueError("beta must be non-decreasing")
         alpha = 1.0 - beta
         abar = np.cumprod(alpha)
-        abar_prev = np.concatenate([[1.0], abar[:-1]])
-        sig = np.sqrt(beta * (1.0 - abar_prev) / (1.0 - abar))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_bar", abar)
-        object.__setattr__(self, "sigma_tilde", sig)
 
     def abar(self, t: int) -> float:
         """Cumulative product of alpha up to step t, with abar(0) = 1."""
@@ -52,16 +47,6 @@ class NoiseSchedule:
         if not 1 <= t <= self.T:
             raise ValueError(f"t must be in 0..{self.T}, got {t}")
         return float(self.alpha_bar[t - 1])
-
-    def beta_at(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"t must be in 1..{self.T}, got {t}")
-        return float(self.beta[t - 1])
-
-    def sigma_tilde_at(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"t must be in 1..{self.T}, got {t}")
-        return float(self.sigma_tilde[t - 1])
 
     def to_config(self) -> dict:
         return {"T": self.T, "beta": self.beta.tolist()}

@@ -12,7 +12,6 @@ from equiguide.autodiff import (
     conv2d_mc,
     crop2d,
     div,
-    dot,
     downsample_mean,
     l2_norm,
     matmul,
@@ -22,12 +21,10 @@ from equiguide.autodiff import (
     permute_flat,
     relu,
     reshape,
-    sigmoid,
     sqrt,
     square,
     sub,
     tanh,
-    texp,
     tmean,
     tsum,
     upsample_repeat,
@@ -154,10 +151,8 @@ def test_binary_op_gradients(name, fn):
     [
         ("relu", lambda t: tsum(square(relu(t)))),
         ("tanh", lambda t: tsum(square(tanh(t)))),
-        ("sigmoid", lambda t: tsum(square(sigmoid(t)))),
         ("square", lambda t: tsum(square(square(t)))),
         ("sqrt", lambda t: tsum(sqrt(add(square(t), 1.0)))),
-        ("exp", lambda t: tsum(texp(mul(t, 0.3)))),
         ("mean", lambda t: square(tmean(t))),
         ("sum_axis", lambda t: tsum(square(tsum(reshape(t, (2, 5)), axis=1)))),
         ("mean_axis", lambda t: tsum(square(tmean(reshape(t, (2, 5)), axis=0, keepdims=True)))),
@@ -184,8 +179,6 @@ def test_matmul_gradients():
     v = rng.standard_normal(4)
     m = rng.standard_normal((4, 3))
     assert check_gradient(lambda t: tsum(square(matmul(t, Tensor(m)))), v) < 1e-4
-    w = rng.standard_normal(3)
-    assert check_gradient(lambda t: square(dot(t, Tensor(w))), w) < 1e-4
 
 
 def test_broadcast_row_bias_gradient():

@@ -10,11 +10,9 @@ from equiguide.gmm import (
     gmm_marginal_score,
     gmm_marginal_score_traced,
     gmm_posterior_exact,
-    load_gmm_json,
     marginal_prior,
     posterior_mean_x0,
     sample_gmm,
-    save_gmm_json,
 )
 from equiguide.schedule import make_linear_schedule
 
@@ -240,16 +238,6 @@ def test_posterior_self_consistency_moments():
     exact_cov = second - np.outer(exact_mean, exact_mean)
     assert np.linalg.norm(X.mean(axis=0) - exact_mean) < 0.05 * (1 + np.linalg.norm(exact_mean))
     assert np.linalg.norm(np.cov(X.T) - exact_cov) < 0.05 * (1 + np.linalg.norm(exact_cov))
-
-
-def test_gmm_json_roundtrip(tmp_path):
-    prior = two_bumps_1d()
-    p = tmp_path / "prior.json"
-    save_gmm_json(p, prior)
-    back = load_gmm_json(p)
-    np.testing.assert_array_equal(prior.weights, back.weights)
-    np.testing.assert_array_equal(prior.means, back.means)
-    np.testing.assert_array_equal(prior.covariances, back.covariances)
 
 
 def test_posterior_mean_x0_brute_force_consistency():

@@ -111,13 +111,6 @@ def test_random_element_deterministic_given_seed():
     assert a == b
 
 
-def test_random_element_subset_mode():
-    g, _ = GROUPS["rot90"]
-    rng = np.random.default_rng(10)
-    draws = {g.random_element(rng, subset=[1, 3]) for _ in range(100)}
-    assert draws == {1, 3}
-
-
 def test_random_element_trivial_group_errors():
     g = make_group({"group": "identity"})
     with pytest.raises(ValueError):

@@ -39,6 +39,19 @@ def test_validate_rejects_unknown_keys(tmp_path):
     cfg["extras"] = {}
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    # sampler options that no longer exist
+    for section, key, value in [("sampler", "guidance_norm", "plain"),
+                                ("sampler", "detach_regularizer", True),
+                                ("sampler", "ddim_eta", 0.5),
+                                ("equi", "element_policy", "fixed")]:
+        cfg = small_config(tmp_path)
+        where = cfg["sampler"] if section == "sampler" else cfg["sampler"]["equi"]
+        where[key] = value
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
 
 
 def test_validate_requires_sections(tmp_path):
@@ -74,6 +87,18 @@ def test_run_is_deterministic_and_hashed(tmp_path):
     assert (tmp_path / "run_summary.json").exists()
     # runtime may differ but is outside the hashed payload
     assert "runtime_s" not in json.dumps(s1["payload"])
+
+
+def test_run_hash_ignores_out_dir(tmp_path):
+    hashes = set()
+    for name in ("a", "b"):
+        cfg = vector_config(tmp_path / name, "dps")
+        cfg["score_model"] = {"kind": "analytic-gmm", "prior": cfg["dataset"]["spec"]}
+        del cfg["probe"]
+        cfg = validate_config(cfg)
+        cmd_gen_data(cfg)
+        hashes.add(cmd_run(cfg)["hash"])
+    assert len(hashes) == 1
 
 
 def test_run_missing_checkpoint_errors(tmp_path):
@@ -175,15 +200,35 @@ def vector_config(out_dir, algorithm):
     }
 
 
+def grid_config(out_dir, algorithm):
+    """8x8 symmetric shapes with a conv-autoencoder probe.
+
+    Latent families train their denoiser on the probe's (2, 2, 2) latents.
+    """
+    cfg = vector_config(out_dir, algorithm)
+    latent = ALGORITHMS[algorithm].family in ("psld", "resample")
+    cfg["dataset"] = {"kind": "sym-shapes-grid", "spec": {"size": 8}, "n": 32, "seed": 1,
+                      "test_n": 2, "test_seed": 2}
+    cfg["score_model"]["train"] = {"steps": 10, "batch_size": 8, "seed": 0, "width": 4,
+                                   "space": "latent" if latent else "pixel"}
+    cfg["probe"] = {"train": {"steps": 10, "batch_size": 8, "seed": 0, "channels": 4,
+                              "latent_channels": 2, "f": "decoder" if latent else "encoder"},
+                    "action": {"group": "flip-h"}, "latent_action": {"group": "flip-h"}}
+    cfg["operator"] = {"kind": "box-inpaint", "box": [2, 2, 4, 4], "sigma_y": 0.05}
+    return cfg
+
+
 def _write_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
 
-@pytest.mark.parametrize("algorithm", RUNNABLE)
-def test_cli_runs_every_measurement_algorithm(tmp_path, capsys, algorithm):
-    path = _write_config(tmp_path, vector_config(tmp_path, algorithm))
+@pytest.mark.parametrize("make_config,algorithm",
+                         [pytest.param(vector_config, a, id=a) for a in RUNNABLE]
+                         + [pytest.param(grid_config, a, id=f"grid-{a}") for a in RUNNABLE])
+def test_cli_runs_every_measurement_algorithm(tmp_path, capsys, make_config, algorithm):
+    path = _write_config(tmp_path, make_config(tmp_path, algorithm))
     assert main(["gen-data", "--config", path]) == 0
     assert main(["train", "--config", path]) == 0
     assert main(["run", "--config", path]) == 0

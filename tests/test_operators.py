@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equiguide.groups import make_group
-from equiguide.operators import forward, gaussian_kernel, make_operator, vjp
+from equiguide.operators import forward, gaussian_kernel, make_operator
 
 
 def test_box_mask_area_ratio():
@@ -67,7 +67,7 @@ def test_box_inpaint_masks_to_zero():
 def test_vjp_identity():
     op = make_operator({"kind": "identity"})
     cot = np.random.default_rng(2).standard_normal((4, 4))
-    np.testing.assert_array_equal(vjp(op, np.zeros((4, 4)), cot), cot)
+    np.testing.assert_array_equal(op.vjp(np.zeros((4, 4)), cot), cot)
 
 
 @pytest.mark.parametrize(

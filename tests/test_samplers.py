@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equiguide.autodiff import Tensor, backward
+from equiguide.autodiff import Tensor, backward, norm_sq, sub
 from equiguide.equi import EquiLossConfig, EquivariantFunction, equi_loss
 from equiguide.gmm import GMMPrior, sample_gmm
 from equiguide.groups import make_group
@@ -121,7 +121,7 @@ def test_record_count_equals_steps():
 
 def test_ddim_deterministic_at_zero_eta():
     model = pair_model()
-    cfg = SamplerConfig(algorithm="ddim", steps=20, seed=5, ddim_eta=0.0)
+    cfg = SamplerConfig(algorithm="ddim", steps=20, seed=5)
     a = ddim_sample(model, cfg)
     b = ddim_sample(model, cfg)
     np.testing.assert_array_equal(a.final, b.final)
@@ -174,9 +174,7 @@ def test_guidance_gradient_zero_when_measurement_matches():
     leaf = Tensor(x, requires_grad=True)
     x0t = tweedie_x0_traced(leaf, 20, model)
     y = x0t.data.copy()  # measurement equals the current estimate, A = identity
-    from equiguide.samplers import _meas_loss
-
-    loss = _meas_loss(y, op, x0t, "squared")
+    loss = norm_sq(sub(y, op.apply(x0t)))  # the samplers' squared measurement loss
     backward(loss)
     np.testing.assert_allclose(leaf.grad, np.zeros(2), atol=1e-14)
 
@@ -201,15 +199,6 @@ def test_equi_dps_trajectory_finite_and_recorded():
     traj = equi_dps_sample(model, op, y, m, cfg)
     assert len(traj.records) == 25
     assert all(np.isfinite(r.meas_loss) and np.isfinite(r.equi_loss) for r in traj.records)
-
-
-def test_equi_dps_detached_variant_runs():
-    model, op, y = _dps_setup()
-    m = vec_probe()
-    cfg = SamplerConfig(algorithm="equi-dps", steps=10, zeta=0.1, seed=2,
-                        detach_regularizer=True, equi=EquiLossConfig(lam=0.05))
-    traj = equi_dps_sample(model, op, y, m, cfg)
-    assert np.isfinite(traj.final).all()
 
 
 # -- PSLD family --------------------------------------------------------------------
@@ -251,9 +240,8 @@ def test_equicon_psld_reduction_identity():
 def test_psld_with_zero_gluing_matches_latent_dps():
     model, ae, op, y = _latent_setup()
     cfgp = SamplerConfig(algorithm="psld", steps=30, eta_psld=0.25, gamma_psld=0.0,
-                         seed=13, guidance_norm="squared", record_states=True)
-    cfgd = SamplerConfig(algorithm="dps", steps=30, zeta=0.25, seed=13,
-                         guidance_norm="squared", record_states=True)
+                         seed=13, record_states=True)
+    cfgd = SamplerConfig(algorithm="dps", steps=30, zeta=0.25, seed=13, record_states=True)
     a = equi_psld_sample(model, ae, op, y, None, cfgp)
     b = dps_sample(model, op, y, cfgd)
     for sa, sb in zip(a.states, b.states):
@@ -281,8 +269,8 @@ def test_psld_gluing_near_zero_for_identity_operator_perfect_ae():
 def test_resample_empty_set_is_pure_ddim():
     model, ae, op, y = _latent_setup()
     cfg_r = SamplerConfig(algorithm="resample", steps=20, seed=6, resample_steps=[],
-                          ddim_eta=0.0, record_states=True)
-    cfg_d = SamplerConfig(algorithm="ddim", steps=20, seed=6, ddim_eta=0.0, record_states=True)
+                          record_states=True)
+    cfg_d = SamplerConfig(algorithm="ddim", steps=20, seed=6, record_states=True)
     a = equi_resample_sample(model, ae, op, y, None, cfg_r)
     b = ddim_sample(model, cfg_d)
     for sa, sb in zip(a.states, b.states):
@@ -384,5 +372,3 @@ def test_sampler_config_validation():
         SamplerConfig(steps=0)
     with pytest.raises(ValueError):
         SamplerConfig(zeta=-1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(guidance_norm="cubed")

@@ -31,14 +31,6 @@ def test_alpha_bar_strictly_decreasing_in_unit_interval():
     assert np.all(s.alpha_bar > 0.0) and np.all(s.alpha_bar <= 1.0)
 
 
-def test_sigma_tilde_formula():
-    s = make_linear_schedule(10, 0.01, 0.2)
-    assert s.sigma_tilde_at(1) == 0.0  # abar_0 = 1
-    for t in range(2, 11):
-        expected = np.sqrt(s.beta_at(t) * (1.0 - s.abar(t - 1)) / (1.0 - s.abar(t)))
-        assert s.sigma_tilde_at(t) == pytest.approx(expected, abs=1e-15)
-
-
 def test_bounds_rejected():
     with pytest.raises(ValueError):
         make_linear_schedule(0, 0.1, 0.2)
