@@ -12,8 +12,16 @@ from .harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
 from .samplers import SamplerError
 
 
-def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+def _parse_seeds(text: str | None) -> list[int] | None:
+    if text is None:
+        return None
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from exc
+    if not seeds:
+        raise ConfigError(f"--seeds names no seed: {text!r}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +70,10 @@ def main(argv=None) -> int:
             written = cmd_train(cfg, out_dir=args.out)
             print(json.dumps(written))
         elif args.command == "run":
-            seeds = _parse_seeds(args.seeds) if args.seeds else None
-            summary = cmd_run(cfg, out_dir=args.out, seeds=seeds)
+            summary = cmd_run(cfg, out_dir=args.out, seeds=_parse_seeds(args.seeds))
             print(json.dumps({"hash": summary["hash"]}))
         elif args.command == "sweep":
-            seeds = _parse_seeds(args.seeds) if args.seeds else None
-            path = cmd_sweep(cfg, out_dir=args.out, seeds=seeds)
+            path = cmd_sweep(cfg, out_dir=args.out, seeds=_parse_seeds(args.seeds))
             print(str(path))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -97,6 +97,10 @@ def validate_config(cfg: dict) -> dict:
 
     if "run" in cfg:
         _check_keys(cfg["run"], _RUN_KEYS, "run")
+        for key in ("n_images", "samples_per_image"):
+            n = cfg["run"].get(key, 1)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ConfigError(f"run.{key} must be an integer >= 1, got {n!r}")
         if "oracle" in cfg["run"]:
             _check_keys(cfg["run"]["oracle"], _ORACLE_KEYS, "run.oracle")
 

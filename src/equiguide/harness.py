@@ -225,7 +225,8 @@ def _chain_seed(seed: int, image_idx: int, k: int) -> int:
 
 def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
              overrides: dict | None = None) -> dict:
-    """Execute the configured sampler over the test images for one seed."""
+    """Run the sampler on the test images for one seed. Each chain is its own call:
+    a batched call shares its group element, "l2" penalty norm and ``delta`` stop."""
     run_cfg = cfg.get("run", {})
     n_images = int(run_cfg.get("n_images", 1))
     k_samples = int(run_cfg.get("samples_per_image", 1))
@@ -251,7 +252,7 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
         for k in range(k_samples):
             scfg = _sampler_config(cfg, _chain_seed(seed, i, k), overrides)
             traj = _run_sampler(model, op, meas.y, probe, scfg)
-            samples.append(traj.final)
+            samples.append(traj.final[0])
             for key, v in traj.counts.items():
                 counts_total[key] = counts_total.get(key, 0) + v
         for s in samples:

@@ -14,7 +14,9 @@ chain rule through the score model) on a per-step tape; measurement losses are
 squared residual norms. DDIM transitions are deterministic. Because chain noise
 and regularizer element draws come from separate generators, an arm with the
 regularizer disabled is bit-identical to its baseline and an arm with it
-enabled sees the same chain noise.
+enabled sees the same chain noise. States carry a leading chain axis; the
+chains of a call share one tape, one group element per step, one "l2" penalty
+norm and, in SITCOM and ReSample, the ``delta`` stop on their summed loss.
 
 ``ALGORITHMS`` is the one table of algorithm names: each maps to its family,
 whether the probe's penalty is on, and whether that penalty is the
@@ -24,7 +26,7 @@ constrained (inverse-map) loss.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -135,7 +137,6 @@ class Trajectory:
     records: list[StepRecord]
     final: np.ndarray
     counts: dict
-    config: dict
     states: list | None = None
 
     def assert_finite(self):
@@ -223,9 +224,8 @@ def _counts(*extra: str) -> dict:
     return dict.fromkeys(("score_evals", "guidance_grads", "equi_grads") + extra, 0)
 
 
-def _shape(model, n: int | None) -> tuple[int, ...]:
-    shape = tuple(model.data_shape) if hasattr(model, "data_shape") else (model.prior.dim,)
-    return shape if n is None else (n,) + shape
+def _shape(model, n: int) -> tuple[int, ...]:
+    return (n,) + (tuple(model.data_shape) if hasattr(model, "data_shape") else (model.prior.dim,))
 
 
 def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> Trajectory:
@@ -247,7 +247,7 @@ def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> 
         if states is not None:
             states.append(x.copy())
     traj = Trajectory(records=records, final=x if final is None else final(x, x0),
-                      counts=counts, config=asdict(cfg), states=states)
+                      counts=counts, states=states)
     traj.assert_finite()
     return traj
 
@@ -255,7 +255,7 @@ def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> 
 # -- unconditional samplers -------------------------------------------------------
 
 
-def _unconditional(model, cfg: SamplerConfig, n: int | None, use_ddim: bool) -> Trajectory:
+def _unconditional(model, cfg: SamplerConfig, n: int, use_ddim: bool) -> Trajectory:
     sched = model.schedule
     counts = _counts()
 
@@ -269,12 +269,12 @@ def _unconditional(model, cfg: SamplerConfig, n: int | None, use_ddim: bool) -> 
     return _chain(model, cfg, _shape(model, n), step, counts)
 
 
-def ancestral_sample(model, cfg: SamplerConfig, n: int | None = None) -> Trajectory:
+def ancestral_sample(model, cfg: SamplerConfig, n: int = 1) -> Trajectory:
     """Unconditional chain from pure noise using the ancestral transition."""
     return _unconditional(model, cfg, n, use_ddim=False)
 
 
-def ddim_sample(model, cfg: SamplerConfig, n: int | None = None) -> Trajectory:
+def ddim_sample(model, cfg: SamplerConfig, n: int = 1) -> Trajectory:
     return _unconditional(model, cfg, n, use_ddim=True)
 
 
@@ -283,17 +283,16 @@ def ddim_sample(model, cfg: SamplerConfig, n: int | None = None) -> Trajectory:
 
 def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
                     m: EquivariantFunction | None, cfg: SamplerConfig,
-                    n_chains: int | None = None) -> Trajectory:
+                    n_chains: int = 1) -> Trajectory:
     """Ancestral chain with measurement guidance and the equivariance penalty.
 
     Per step: Tweedie estimate, ancestral proposal, then a single combined
     gradient step on zeta * ||y - A(x0|t)||^2 + lambda * R, both differentiated
     with respect to the current state. ``m=None`` is plain DPS.
 
-    With ``n_chains``, y carries a leading chain axis and the independent
-    chains run in lockstep on one batched tape (losses are additive over
-    chains, so per-chain gradients are unchanged; a regularizer element draw
-    is shared per step).
+    The ``n_chains`` chains share y (or y has a leading chain axis), one
+    group element per step and, under the "l2" norm, one penalty norm; the
+    measurement gradient is per chain.
     """
     sched = model.schedule
     y = np.asarray(y, dtype=np.float64)
@@ -306,10 +305,10 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
             x0t = tweedie_x0_traced(leaf, t, model)
             counts["score_evals"] += 1
             resid = sub(y, op.apply(x0t))
-            axes = tuple(range(1, resid.data.ndim)) if n_chains is not None else None
-            sq = tsum(square(resid), axis=axes)  # per-chain squared residual
-            scale = cfg.zeta / (np.sqrt(sq.data) + 1e-12) if cfg.zeta_normalized else cfg.zeta
-            total = mul(sq, scale) if n_chains is None else tsum(mul(sq, scale))
+            axes = tuple(range(1, resid.data.ndim))
+            sq = np.square(resid.data).sum(axis=axes)  # per chain
+            scale = cfg.zeta / (np.sqrt(sq) + 1e-12) if cfg.zeta_normalized else cfg.zeta
+            total = tsum(mul(square(resid), np.reshape(scale, (-1,) + (1,) * len(axes))))
             counts["guidance_grads"] += 1
             if plan[i]:
                 r = equi_loss(m, x0t, equi_rng, cfg.equi)
@@ -317,19 +316,19 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
                 r_val = r.data.item()
                 counts["equi_grads"] += 1
             grad = _grad(total, leaf, t)
-        return _ancestral_step(sched, t, s, x, x0t.data, noise) - grad, x0t.data, np.sum(sq.data), r_val
+        return _ancestral_step(sched, t, s, x, x0t.data, noise) - grad, x0t.data, np.sum(sq), r_val
 
     return _chain(model, cfg, _shape(model, n_chains), step, counts)
 
 
 def dps_sample(model, op: MeasurementOperator, y: np.ndarray, cfg: SamplerConfig,
-               n_chains: int | None = None) -> Trajectory:
+               n_chains: int = 1) -> Trajectory:
     return equi_dps_sample(model, op, y, None, cfg, n_chains=n_chains)
 
 
 def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
                        m: EquivariantFunction | None, cfg: SamplerConfig,
-                       n_chains: int | None = None) -> Trajectory:
+                       n_chains: int = 1) -> Trajectory:
     """Two-stage per-step refinement: measurement consistency, then equivariance.
 
     Stage 1 runs adaptive-moment descent on ||A(tweedie(v)) - y||^2 plus a
@@ -392,7 +391,7 @@ def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
 
 def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                      m: EquivariantFunction | None, cfg: SamplerConfig,
-                     constrained: bool = False) -> Trajectory:
+                     constrained: bool = False, n_chains: int = 1) -> Trajectory:
     """Latent chain with measurement, gluing, and equivariance corrections.
 
     The probe's map should be the decoder (latent domain, pixel codomain); the
@@ -420,7 +419,7 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
             counts["score_evals"] += 1
             dz = ae.decode(z0t)
             meas = norm_sq(sub(y, op.apply(dz)))
-            atadz = reshape(matmul(reshape(op.apply(dz), (-1,)), M), pix_shape)
+            atadz = reshape(matmul(reshape(op.apply(dz), (n_chains, -1)), M), dz.shape)
             glue = norm_sq(sub(z0t, ae.encode(Tensor(aty) + dz - atadz)))
             counts["guidance_grads"] += 1
             total = mul(meas, cfg.eta_psld) + mul(glue, cfg.gamma_psld)
@@ -432,7 +431,7 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
             grad = _grad(total, leaf, t)
         return _ancestral_step(sched, t, s, z, z0t.data, noise) - grad, z0t.data, meas.item(), r_val
 
-    return _chain(model, cfg, lat_shape, step, counts,
+    return _chain(model, cfg, (n_chains,) + lat_shape, step, counts,
                   final=lambda z, z0: ae.decode(Tensor(z0)).data)
 
 
@@ -453,13 +452,13 @@ def stochastic_resample(z0y: np.ndarray, z_prime: np.ndarray, gamma: float,
 
 def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                          m: EquivariantFunction | None, cfg: SamplerConfig,
-                         constrained: bool = False) -> Trajectory:
+                         constrained: bool = False, n_chains: int = 1) -> Trajectory:
     """DDIM chain with hard data consistency by inner descent on resample steps.
 
     The inner loop minimizes 0.5 ||y - A(D(z))||^2 plus the (optionally
     constrained) equivariance penalty by plain gradient descent, then maps the
     optimized estimate back to the current time by a stochastic blend.
-    ``m=None`` is plain ReSample.
+    ``m=None`` is plain ReSample. Batched chains share the stop and divergence check.
     """
     reg_loss = _reg_loss(m, constrained)
     sched = model.schedule
@@ -503,5 +502,5 @@ def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                                 noise, sched.abar(s))
         return z, x0, meas_val, r_val
 
-    return _chain(model, cfg, ae.latent_shape(), step, counts,
+    return _chain(model, cfg, (n_chains,) + ae.latent_shape(), step, counts,
                   final=lambda z, z0: ae.decode(Tensor(z)).data)

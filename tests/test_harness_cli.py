@@ -1,12 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from equiguide import harness
+from equiguide.autodiff import Tensor, matmul
 from equiguide.cli import main
 from equiguide.config import ConfigError, load_config, validate_config
+from equiguide.equi import EquivariantFunction
+from equiguide.gmm import GMMPrior, sample_gmm
+from equiguide.groups import make_group
 from equiguide.harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
-from equiguide.samplers import ALGORITHMS
+from equiguide.models import AnalyticGmmScore
+from equiguide.operators import forward
+from equiguide.samplers import ALGORITHMS, equi_dps_sample
 
 
 def small_config(out_dir, algorithm="equi-dps", lam=0.05):
@@ -64,6 +72,18 @@ def test_validate_seeds_type(tmp_path):
     cfg["seeds"] = "0,1"
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    # run counts: integers >= 1 only
+    for key in ("n_images", "samples_per_image"):
+        for bad in (0, -1, 1.5, "2", True, None):
+            cfg = small_config(tmp_path)
+            cfg["run"][key] = bad
+            with pytest.raises(ConfigError):
+                validate_config(cfg)
+    # the command line's seed override: integers, at least one
+    path = _write_config(tmp_path, small_config(tmp_path))
+    for command in ("run", "sweep"):
+        for bad in ("1,x", ",", ""):
+            assert main([command, "--config", path, "--seeds", bad]) == 2
 
 
 def test_gen_data_and_train_write_files(tmp_path):
@@ -99,6 +119,34 @@ def test_run_hash_ignores_out_dir(tmp_path):
         cmd_gen_data(cfg)
         hashes.add(cmd_run(cfg)["hash"])
     assert len(hashes) == 1
+
+
+def test_run_cell_chains_match_single_chain_calls():
+    # under the "l2" penalty norm a batched call would couple its chains, so each
+    # chain of a run must equal its own batch-of-one sampler call
+    cfg = vector_config("unused", "equi-dps")
+    cfg["sampler"]["equi"]["norm"] = "l2"
+    cfg["run"] = {"n_images": 2, "samples_per_image": 3}
+    spec = cfg["dataset"]["spec"]
+    prior = GMMPrior(*(np.asarray(spec[k], dtype=float) for k in ("weights", "means", "covariances")))
+    model = AnalyticGmmScore(prior, harness.build_schedule(cfg))
+    w = Tensor(np.random.default_rng(3).standard_normal((4, 4)))
+    probe = EquivariantFunction(lambda z: matmul(z, w), make_group(cfg["probe"]["action"]),
+                                name="linear")
+    items = sample_gmm(prior, 2, np.random.default_rng(0))
+    row = harness.run_cell(cfg, model, probe, items, seed=0)
+    op = harness.build_operator(cfg, items.shape[1:])
+    expected, r_vals = [], []
+    for i in range(2):
+        y = forward(op, items[i], harness._measurement_seed(0, i)).y
+        for k in range(3):
+            scfg = harness._sampler_config(cfg, harness._chain_seed(0, i, k))
+            traj = equi_dps_sample(model, op, y, probe, scfg)
+            expected.append(hashlib.sha256(traj.final[0].tobytes()).hexdigest())
+            r_vals += [rec.equi_loss for rec in traj.records]
+    assert row["sample_hashes"] == expected
+    assert max(r_vals) > 0.0
+    assert row["score_evals"] == row["guidance_grads"] == 6 * cfg["sampler"]["steps"]
 
 
 def test_run_missing_checkpoint_errors(tmp_path):
@@ -194,7 +242,7 @@ def vector_config(out_dir, algorithm):
         "operator": {"kind": "random-inpaint", "keep_prob": 0.5, "seed": 1, "sigma_y": 0.05},
         "sampler": {"algorithm": algorithm, "steps": 5, "k_meas": 2, "k_equi": 1,
                     "equi": {"lam": 0.1}},
-        "run": {"n_images": 1, "samples_per_image": 1},
+        "run": {"n_images": 1, "samples_per_image": 3},
         "seeds": [0],
         "out_dir": str(out_dir),
     }
@@ -234,6 +282,8 @@ def test_cli_runs_every_measurement_algorithm(tmp_path, capsys, make_config, alg
     assert main(["run", "--config", path]) == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert len(json.loads(out)["hash"]) == 64
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert len(summary["payload"]["results"][0]["sample_hashes"]) == 3
 
 
 @pytest.mark.parametrize("algorithm", ["dsp", "ancestral", "ddim"])

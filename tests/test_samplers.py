@@ -242,10 +242,12 @@ def test_psld_with_zero_gluing_matches_latent_dps():
     cfgp = SamplerConfig(algorithm="psld", steps=30, eta_psld=0.25, gamma_psld=0.0,
                          seed=13, record_states=True)
     cfgd = SamplerConfig(algorithm="dps", steps=30, zeta=0.25, seed=13, record_states=True)
-    a = equi_psld_sample(model, ae, op, y, None, cfgp)
-    b = dps_sample(model, op, y, cfgd)
-    for sa, sb in zip(a.states, b.states):
-        np.testing.assert_array_equal(sa, sb)
+    for n in (1, 3):
+        a = equi_psld_sample(model, ae, op, y, None, cfgp, n_chains=n)
+        b = dps_sample(model, op, y, cfgd, n_chains=n)
+        assert a.final.shape == (n, 2)
+        for sa, sb in zip(a.states, b.states):
+            np.testing.assert_array_equal(sa, sb)
 
 
 def test_psld_rejects_nonlinear_operator():
@@ -271,10 +273,12 @@ def test_resample_empty_set_is_pure_ddim():
     cfg_r = SamplerConfig(algorithm="resample", steps=20, seed=6, resample_steps=[],
                           record_states=True)
     cfg_d = SamplerConfig(algorithm="ddim", steps=20, seed=6, record_states=True)
-    a = equi_resample_sample(model, ae, op, y, None, cfg_r)
-    b = ddim_sample(model, cfg_d)
-    for sa, sb in zip(a.states, b.states):
-        np.testing.assert_array_equal(sa, sb)
+    for n in (1, 3):
+        a = equi_resample_sample(model, ae, op, y, None, cfg_r, n_chains=n)
+        b = ddim_sample(model, cfg_d, n=n)
+        assert a.final.shape == (n, 2)
+        for sa, sb in zip(a.states, b.states):
+            np.testing.assert_array_equal(sa, sb)
 
 
 def test_resample_reduction_identity():
