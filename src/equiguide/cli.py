@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seeds, load_config
 from .containers import ContainerError
 from .harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
 from .samplers import SamplerError
@@ -19,9 +19,7 @@ def _parse_seeds(text: str | None) -> list[int] | None:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from exc
-    if not seeds:
-        raise ConfigError(f"--seeds names no seed: {text!r}")
-    return seeds
+    return check_seeds(seeds, "--seeds")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .equi import EquiLossConfig
-from .samplers import ALGORITHMS, SamplerConfig
+from .samplers import ALGORITHMS, SamplerConfig, step_indices
+from .schedule import NoiseSchedule, make_linear_schedule
 
-__all__ = ["ConfigError", "load_config", "validate_config", "DEFAULT_SCHEDULE"]
+__all__ = ["ConfigError", "load_config", "validate_config", "check_seeds", "build_schedule",
+           "DEFAULT_SCHEDULE"]
 
 
 class ConfigError(ValueError):
@@ -48,6 +50,57 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_counts(section: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        n = section.get(key, 1)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"{where}.{key} must be an integer >= 1, got {n!r}")
+
+
+def check_seeds(seeds, where: str) -> list[int]:
+    if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ConfigError(f"{where} must be a nonempty list of non-negative integers, got {seeds!r}")
+    return seeds
+
+
+def build_schedule(cfg: dict) -> NoiseSchedule:
+    sc = {**DEFAULT_SCHEDULE, **cfg.get("schedule", {})}
+    return make_linear_schedule(int(sc["T"]), float(sc["beta_min"]), float(sc["beta_max"]))
+
+
+def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> SamplerConfig:
+    """The sampler section with a sweep cell's overrides applied."""
+    sc = dict(cfg["sampler"])
+    equi = dict(sc.pop("equi", {}))
+    for k, v in (overrides or {}).items():
+        if k == "lambda":
+            equi["lam"] = v
+        elif k == "period":
+            equi["period"] = v
+        elif k == "steps":
+            sc["steps"] = v
+        elif k == "k_split":
+            sc["k_meas"], sc["k_equi"] = v
+    return SamplerConfig(seed=seed, equi=EquiLossConfig(**equi), **sc)
+
+
+_SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
+
+
+def _sweep_cells(sweep: dict) -> list[dict]:
+    """The cartesian product of the sweep's axes, one override mapping per cell."""
+    axes = [(a, sweep[a]) for a in _SWEEP_AXES if a in sweep]
+    if not axes:
+        raise ConfigError("sweep section has no axes")
+    cells = [{}]
+    for name, values in axes:
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{name} must be a nonempty list, got {values!r}")
+        cells = [{**c, name: v} for c in cells for v in values]
+    return cells
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -63,6 +116,10 @@ def validate_config(cfg: dict) -> dict:
 
     if "schedule" in cfg:
         _check_keys(cfg["schedule"], _SCHEDULE_KEYS, "schedule")
+    try:
+        T = build_schedule(cfg).T
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
     if "score_model" in cfg:
         _check_keys(cfg["score_model"], _SCORE_KEYS, "score_model")
@@ -87,29 +144,33 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(cfg["sampler"], _SAMPLER_KEYS, "sampler")
     if "equi" in cfg["sampler"]:
         _check_keys(cfg["sampler"]["equi"], _EQUI_KEYS, "sampler.equi")
-    try:
-        sampler = SamplerConfig(**cfg["sampler"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
+    cells = [{}]
+    if "sweep" in cfg:
+        _check_keys(cfg["sweep"], _SWEEP_KEYS, "sweep")
+        cells += _sweep_cells(cfg["sweep"])
+    # every sampler config that run or sweep will build, built the same way
+    for cell in cells:
+        where = f"sweep cell {cell}" if cell else "sampler"
+        try:
+            sampler = _sampler_config(cfg, 0, cell)
+            step_indices(T, sampler.steps)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if ALGORITHMS[sampler.algorithm].family == "unconditional":
         raise ConfigError(f"sampler.algorithm '{sampler.algorithm}' draws unconditional samples; "
                           "run and sweep need a measurement-conditioned algorithm")
 
     if "run" in cfg:
         _check_keys(cfg["run"], _RUN_KEYS, "run")
-        for key in ("n_images", "samples_per_image"):
-            n = cfg["run"].get(key, 1)
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ConfigError(f"run.{key} must be an integer >= 1, got {n!r}")
+        _check_counts(cfg["run"], ("n_images", "samples_per_image"), "run")
+        peak = cfg["run"].get("psnr_peak", 1.0)
+        if isinstance(peak, bool) or not isinstance(peak, (int, float)) or not peak > 0:
+            raise ConfigError(f"run.psnr_peak must be a number > 0, got {peak!r}")
         if "oracle" in cfg["run"]:
             _check_keys(cfg["run"]["oracle"], _ORACLE_KEYS, "run.oracle")
+            _check_counts(cfg["run"]["oracle"], ("n_samples", "n_proj"), "run.oracle")
 
-    if "sweep" in cfg:
-        _check_keys(cfg["sweep"], _SWEEP_KEYS, "sweep")
-
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
+    check_seeds(cfg["seeds"], "seeds")
     return cfg
 
 

@@ -92,17 +92,9 @@ def equi_error(m: EquivariantFunction, g: int, z, norm: str = "l2") -> float:
     return equi_loss(m, zt, g, EquiLossConfig(norm=norm)).item()
 
 
-def equi_loss(m: EquivariantFunction, x0t: Tensor, rng_or_g, cfg: EquiLossConfig | None = None) -> Tensor:
-    """Differentiable equivariance gap at the current clean-signal estimate.
-
-    ``rng_or_g`` is either a Generator (a uniform non-identity element is
-    drawn) or an explicit element index.
-    """
+def equi_loss(m: EquivariantFunction, x0t: Tensor, g: int, cfg: EquiLossConfig | None = None) -> Tensor:
+    """Differentiable equivariance gap S_g(f(x)) - f(T_g(x)) at the clean-signal estimate."""
     cfg = cfg or EquiLossConfig(norm="squared-l2")
-    if isinstance(rng_or_g, (int, np.integer)):
-        g = int(rng_or_g)
-    else:
-        g = m.action.random_element(rng_or_g)
     a = m.action.apply_codomain(g, m.apply_f(x0t))
     b = m.apply_f(m.action.apply_domain(g, x0t))
     if a.shape != b.shape:
@@ -110,15 +102,11 @@ def equi_loss(m: EquivariantFunction, x0t: Tensor, rng_or_g, cfg: EquiLossConfig
     return _norm_of(sub(a, b), cfg.norm)
 
 
-def equicon_loss(m: EquivariantFunction, z0t: Tensor, rng_or_g, cfg: EquiLossConfig | None = None) -> Tensor:
+def equicon_loss(m: EquivariantFunction, z0t: Tensor, g: int, cfg: EquiLossConfig | None = None) -> Tensor:
     """Cycle-consistency gap: || z - h(S_g^{-1}(f(T_g(z)))) || per config norm."""
     cfg = cfg or EquiLossConfig(norm="squared-l2")
     if m.h is None:
         raise ValueError(f"probe '{m.name}' has no inverse map for the constrained loss")
-    if isinstance(rng_or_g, (int, np.integer)):
-        g = int(rng_or_g)
-    else:
-        g = m.action.random_element(rng_or_g)
     fx = m.apply_f(m.action.apply_domain(g, z0t))
     back_ = m.action.apply_codomain(m.action.inverse(g), fx)
     cycled = m.apply_h(back_)

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_SCHEDULE, ConfigError
+from .config import _SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_schedule
 from .datasets import Dataset, generate, load_dataset, ring_distance, save_dataset
-from .equi import EquiLossConfig, load_probe, save_probe, train_autoencoder_augmented
+from .equi import load_probe, save_probe, train_autoencoder_augmented
 from .gmm import GMMPrior, gmm_posterior_exact, sample_gmm
 from .groups import make_group
 from .metrics import diversity, psnr, sliced_wasserstein, ssim
@@ -38,8 +38,9 @@ from .samplers import (
     equi_psld_sample,
     equi_resample_sample,
     equi_sitcom_sample,
+    independent_chains,
 )
-from .schedule import NoiseSchedule, make_linear_schedule
+from .schedule import NoiseSchedule
 
 __all__ = [
     "cmd_gen_data",
@@ -57,11 +58,6 @@ def _out_dir(cfg: dict, override=None) -> Path:
     out = Path(override or cfg.get("out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def build_schedule(cfg: dict) -> NoiseSchedule:
-    sc = {**DEFAULT_SCHEDULE, **cfg.get("schedule", {})}
-    return make_linear_schedule(int(sc["T"]), float(sc["beta_min"]), float(sc["beta_max"]))
 
 
 def _dataset_paths(out: Path) -> tuple[Path, Path]:
@@ -128,16 +124,21 @@ def cmd_train(cfg: dict, out_dir=None) -> dict:
     return written
 
 
+def _checkpoint_path(section: dict, out: Path, name: str, what: str) -> Path:
+    """The section's checkpoint (or its file name under out), else out/name."""
+    path = Path(section["checkpoint"]) if "checkpoint" in section else out / name
+    if not path.is_absolute():
+        path = out / path.name if not path.exists() else path
+    if not path.exists():
+        raise ConfigError(f"missing {what} checkpoint {path}")
+    return path
+
+
 def _resolve_probe(cfg: dict, out: Path):
     pc = cfg.get("probe")
     if not pc:
         return None
-    path = Path(pc["checkpoint"]) if "checkpoint" in pc else out / "probe.eqc"
-    if not path.is_absolute():
-        path = out / path.name if not path.exists() else path
-    if not path.exists():
-        raise ConfigError(f"missing probe checkpoint {path}")
-    return load_probe(path)
+    return load_probe(_checkpoint_path(pc, out, "probe.eqc", "probe"))
 
 
 def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
@@ -157,13 +158,7 @@ def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
         if prior_spec.get("mirror_swap") is not None:
             prior = mirror_symmetrize(prior, tuple(prior_spec["mirror_swap"]))
         return AnalyticGmmScore(prior, sched)
-    path = Path(sm["checkpoint"]) if "checkpoint" in sm else out / "denoiser.eqc"
-    if not path.is_absolute():
-        path = out / path.name if not path.exists() else path
-    if not path.exists():
-        raise ConfigError(f"missing denoiser checkpoint {path}")
-    model = load_score_model(path)
-    return model
+    return load_score_model(_checkpoint_path(sm, out, "denoiser.eqc", "denoiser"))
 
 
 def build_operator(cfg: dict, grid_shape, mask_size=None):
@@ -181,38 +176,24 @@ def build_operator(cfg: dict, grid_shape, mask_size=None):
         raise ConfigError(f"operator {spec.get('kind')!r}: {exc}") from exc
 
 
-def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> SamplerConfig:
-    sc = dict(cfg["sampler"])
-    equi = dict(sc.pop("equi", {}))
-    for k, v in (overrides or {}).items():
-        if k == "lambda":
-            equi["lam"] = v
-        elif k == "period":
-            equi["period"] = v
-        elif k == "steps":
-            sc["steps"] = v
-        elif k == "k_split":
-            sc["k_meas"], sc["k_equi"] = v
-    return SamplerConfig(seed=seed, equi=EquiLossConfig(**equi), **sc)
-
-
-def _run_sampler(model, op, y, probe, scfg: SamplerConfig) -> Trajectory:
+def _run_sampler(model, op, y, probe, scfg: SamplerConfig, n_chains: int) -> Trajectory:
     alg = ALGORITHMS[scfg.algorithm]
     m = probe if alg.regularized else None
     # DPS goes through this module's dps_sample/equi_dps_sample names, looked up
-    # per call, so wrappers installed on them see every DPS chain
+    # per call, so wrappers installed on them see every DPS call
     if alg.family == "dps" and m is None:
-        return dps_sample(model, op, y, scfg)
+        return dps_sample(model, op, y, scfg, n_chains=n_chains)
     if alg.family == "dps":
-        return equi_dps_sample(model, op, y, m, scfg)
+        return equi_dps_sample(model, op, y, m, scfg, n_chains=n_chains)
     if alg.family == "sitcom":
-        return equi_sitcom_sample(model, op, y, m, scfg)
+        return equi_sitcom_sample(model, op, y, m, scfg, n_chains=n_chains)
     if alg.family not in ("psld", "resample"):
         raise ConfigError(f"algorithm '{scfg.algorithm}' does not condition on a measurement")
     if probe is None or probe.meta.get("ae") is None:
         raise ConfigError(f"latent sampler '{scfg.algorithm}' needs an autoencoder probe")
     sample = equi_psld_sample if alg.family == "psld" else equi_resample_sample
-    return sample(model, probe.meta["ae"], op, y, m, scfg, constrained=alg.constrained)
+    return sample(model, probe.meta["ae"], op, y, m, scfg, constrained=alg.constrained,
+                  n_chains=n_chains)
 
 
 def _measurement_seed(seed: int, image_idx: int) -> int:
@@ -225,8 +206,14 @@ def _chain_seed(seed: int, image_idx: int, k: int) -> int:
 
 def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
              overrides: dict | None = None) -> dict:
-    """Run the sampler on the test images for one seed. Each chain is its own call:
-    a batched call shares its group element, "l2" penalty norm and ``delta`` stop."""
+    """Run the sampler on the test images for one seed.
+
+    An image's chains are one sampler call when ``independent_chains`` holds for
+    the cell's sampler config, seeded by ``_chain_seed(seed, i, 0)``. Otherwise
+    (an "l2" penalty norm, SITCOM, ReSample) each chain k is its own call seeded
+    by ``_chain_seed(seed, i, k)``, because a batched call would couple its
+    chains through the joint norm or the shared ``delta`` stop.
+    """
     run_cfg = cfg.get("run", {})
     n_images = int(run_cfg.get("n_images", 1))
     k_samples = int(run_cfg.get("samples_per_image", 1))
@@ -244,17 +231,19 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     counts_total: dict[str, int] = {}
     sample_hashes = []
     oracle_cfg = run_cfg.get("oracle", {})
+    chunk = k_samples if independent_chains(_sampler_config(cfg, 0, overrides)) else 1
 
     for i in range(n_images):
         x_true = test_items[(offset + i) % len(test_items)]
         meas = forward(op, x_true, _measurement_seed(seed, i))
         samples = []
-        for k in range(k_samples):
+        for k in range(0, k_samples, chunk):
             scfg = _sampler_config(cfg, _chain_seed(seed, i, k), overrides)
-            traj = _run_sampler(model, op, meas.y, probe, scfg)
-            samples.append(traj.final[0])
+            traj = _run_sampler(model, op, meas.y, probe, scfg, chunk)
+            samples.extend(traj.final)
+            # a call's counts are per step of the whole batch; the row counts chain-steps
             for key, v in traj.counts.items():
-                counts_total[key] = counts_total.get(key, 0) + v
+                counts_total[key] = counts_total.get(key, 0) + chunk * v
         for s in samples:
             psnrs.append(psnr(s, x_true, peak=peak))
             if is_grid:
@@ -332,19 +321,6 @@ def cmd_run(cfg: dict, out_dir=None, seeds=None) -> dict:
     }
     (out / "run_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     return summary
-
-
-_SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
-
-
-def _sweep_cells(sweep: dict) -> list[dict]:
-    axes = [(a, sweep[a]) for a in _SWEEP_AXES if a in sweep]
-    if not axes:
-        raise ConfigError("sweep section has no axes")
-    cells = [{}]
-    for name, values in axes:
-        cells = [{**c, name: v} for c in cells for v in values]
-    return cells
 
 
 def cmd_sweep(cfg: dict, out_dir=None, seeds=None) -> Path:

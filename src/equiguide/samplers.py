@@ -18,6 +18,18 @@ enabled sees the same chain noise. States carry a leading chain axis; the
 chains of a call share one tape, one group element per step, one "l2" penalty
 norm and, in SITCOM and ReSample, the ``delta`` stop on their summed loss.
 
+``independent_chains`` says when that sharing couples nothing, so a batch of
+k chains is k independent samples. DPS and PSLD losses are sums of per-chain
+terms (``zeta_normalized`` scales each chain by its own residual), and the
+shared element is one uniform draw, so they qualify unless the penalty is on
+under "l2": one norm over the batch divides each chain's penalty gradient by
+the joint norm, roughly 1/sqrt(k) of its own. A per-chain norm would mend that
+but moves the acceptance runs that batch images under "l2" and are calibrated
+on the joint norm (A6 fell 0.23 dB under its floor, A7 spread 0.64 dB against
+0.5). SITCOM and ReSample do not qualify: their ``delta`` stop and ReSample's
+divergence check act on the summed loss, and a per-chain stop needs per-chain
+loss values, which the scalar ``equi_loss`` does not return.
+
 ``ALGORITHMS`` is the one table of algorithm names: each maps to its family,
 whether the probe's penalty is on, and whether that penalty is the
 constrained (inverse-map) loss.
@@ -56,6 +68,7 @@ __all__ = [
     "Trajectory",
     "SamplerError",
     "step_indices",
+    "independent_chains",
     "ancestral_sample",
     "ddim_sample",
     "dps_sample",
@@ -142,6 +155,14 @@ class Trajectory:
     def assert_finite(self):
         if not np.all(np.isfinite(self.final)):
             raise SamplerError("trajectory final state is not finite")
+
+
+def independent_chains(cfg: SamplerConfig) -> bool:
+    """Whether the chains of one call under ``cfg`` are independent samples."""
+    alg = ALGORITHMS[cfg.algorithm]
+    if alg.family in ("sitcom", "resample"):
+        return False
+    return not (alg.regularized and cfg.equi.lam > 0 and cfg.equi.norm == "l2")
 
 
 def step_indices(T: int, N: int) -> list[int]:
@@ -311,7 +332,7 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
             total = tsum(mul(square(resid), np.reshape(scale, (-1,) + (1,) * len(axes))))
             counts["guidance_grads"] += 1
             if plan[i]:
-                r = equi_loss(m, x0t, equi_rng, cfg.equi)
+                r = equi_loss(m, x0t, m.action.random_element(equi_rng), cfg.equi)
                 total = total + mul(r, cfg.equi.lam)
                 r_val = r.data.item()
                 counts["equi_grads"] += 1
@@ -424,7 +445,7 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
             counts["guidance_grads"] += 1
             total = mul(meas, cfg.eta_psld) + mul(glue, cfg.gamma_psld)
             if plan[i]:
-                r = reg_loss(m, z0t, equi_rng, cfg.equi)
+                r = reg_loss(m, z0t, m.action.random_element(equi_rng), cfg.equi)
                 r_val = r.data.item()
                 total = total + mul(r, cfg.equi.lam)
                 counts["equi_grads"] += 1

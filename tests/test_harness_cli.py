@@ -82,8 +82,41 @@ def test_validate_seeds_type(tmp_path):
     # the command line's seed override: integers, at least one
     path = _write_config(tmp_path, small_config(tmp_path))
     for command in ("run", "sweep"):
-        for bad in ("1,x", ",", ""):
+        for bad in ("1,x", ",", "", "-1"):
             assert main([command, "--config", path, "--seeds", bad]) == 2
+
+
+BAD_VALUES = [
+    ("run.psnr_peak", 0, "psnr_peak"),
+    ("run.psnr_peak", -1.0, "psnr_peak"),
+    ("run.psnr_peak", "1", "psnr_peak"),
+    ("run.oracle.n_samples", 0, "n_samples"),
+    ("run.oracle.n_proj", 0, "n_proj"),
+    ("seeds", [-1], "seeds"),
+    ("schedule.T", 0, "schedule"),
+    ("sampler.steps", 50, "steps must lie in 1..40"),
+    ("sweep.steps", [50], "steps must lie in 1..40"),
+    ("sweep.lambda", 0.1, "sweep.lambda"),
+    ("sweep.lambda", [-1.0], "lambda must be >= 0"),
+    ("sweep.k_split", [3], "sweep cell"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", BAD_VALUES,
+                         ids=[f"{k}={v!r}" for k, v, _ in BAD_VALUES])
+def test_cli_rejects_bad_run_values(tmp_path, capsys, key, value, message):
+    cfg = vector_config(tmp_path, "equi-dps")
+    cfg["run"]["oracle"] = {"enabled": True}
+    *parents, leaf = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[leaf] = value
+    with pytest.raises(ConfigError, match=message):
+        validate_config(cfg)
+    command = "sweep" if parents == ["sweep"] else "run"
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_gen_data_and_train_write_files(tmp_path):
@@ -147,6 +180,62 @@ def test_run_cell_chains_match_single_chain_calls():
     assert row["sample_hashes"] == expected
     assert max(r_vals) > 0.0
     assert row["score_evals"] == row["guidance_grads"] == 6 * cfg["sampler"]["steps"]
+
+
+def _ring_cell(norm):
+    """vector_config's equi-dps run on its exact mixture score with a linear probe."""
+    cfg = vector_config("unused", "equi-dps")
+    cfg["sampler"]["equi"]["norm"] = norm
+    cfg["run"] = {"n_images": 2, "samples_per_image": 3}
+    spec = cfg["dataset"]["spec"]
+    prior = GMMPrior(*(np.asarray(spec[k], dtype=float) for k in ("weights", "means", "covariances")))
+    model = AnalyticGmmScore(prior, harness.build_schedule(cfg))
+    w = Tensor(np.random.default_rng(3).standard_normal((4, 4)))
+    probe = EquivariantFunction(lambda z: matmul(z, w), make_group(cfg["probe"]["action"]),
+                                name="linear")
+    return cfg, model, probe, sample_gmm(prior, 2, np.random.default_rng(0))
+
+
+def test_run_cell_batches_independent_chains(monkeypatch):
+    # under "squared-l2" the penalty is a sum of per-chain terms, so an image's
+    # chains are one batched call seeded like its first chain
+    cfg, model, probe, items = _ring_cell("squared-l2")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["n_chains"])
+        return equi_dps_sample(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "equi_dps_sample", counted)
+    row = harness.run_cell(cfg, model, probe, items, seed=0)
+    op = harness.build_operator(cfg, items.shape[1:])
+    expected = []
+    for i in range(2):
+        y = forward(op, items[i], harness._measurement_seed(0, i)).y
+        scfg = harness._sampler_config(cfg, harness._chain_seed(0, i, 0))
+        traj = equi_dps_sample(model, op, y, probe, scfg, n_chains=3)
+        assert max(rec.equi_loss for rec in traj.records) > 0.0
+        expected += [hashlib.sha256(s.tobytes()).hexdigest() for s in traj.final]
+    assert row["sample_hashes"] == expected
+    assert calls == [3, 3]
+    steps = cfg["sampler"]["steps"]
+    assert row["score_evals"] == row["guidance_grads"] == row["equi_grads"] == 6 * steps
+
+
+@pytest.mark.parametrize("norm,coupled", [("squared-l2", False), ("l2", True)])
+def test_l2_penalty_couples_batched_chains(norm, coupled):
+    # why run_cell keeps "l2" per chain: one norm over the batch lets another
+    # chain's measurement move chain 0, while a sum of per-chain terms does not
+    cfg, model, probe, items = _ring_cell(norm)
+    op = harness.build_operator(cfg, items.shape[1:])
+    y = np.stack([forward(op, x, harness._measurement_seed(0, i)).y for i, x in enumerate(items)])
+    y_moved = y.copy()
+    y_moved[1] += 1.0
+    scfg = harness._sampler_config(cfg, 5)
+    a = equi_dps_sample(model, op, y, probe, scfg, n_chains=2).final
+    b = equi_dps_sample(model, op, y_moved, probe, scfg, n_chains=2).final
+    assert not np.array_equal(a[1], b[1])
+    assert np.array_equal(a[0], b[0]) != coupled
 
 
 def test_run_missing_checkpoint_errors(tmp_path):
