@@ -9,6 +9,7 @@ import sys
 from .config import ConfigError, check_seeds, load_config
 from .containers import ContainerError
 from .harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
+from .nn import TrainingDiverged
 from .samplers import SamplerError
 
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2
-    except (ContainerError, SamplerError) as exc:
+    except (ContainerError, SamplerError, TrainingDiverged) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,10 +7,12 @@ experiment. A validated config plus a seed list fully determines every output.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .equi import EquiLossConfig
+from .datasets import generate, prior_from_spec
+from .equi import PROBE_MAPS, EquiLossConfig
 from .samplers import ALGORITHMS, SamplerConfig, step_indices
 from .schedule import NoiseSchedule, make_linear_schedule
 
@@ -48,6 +50,20 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_choice(section: dict, key: str, choices: tuple, where: str) -> None:
+    if key in section and section[key] not in choices:
+        raise ConfigError(f"{where}.{key} must be one of {choices}, got {section[key]!r}")
+
+
+@contextmanager
+def _building(where: str):
+    """Map what a constructor rejects to a ConfigError naming the config section."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_counts(section: dict, keys: tuple[str, ...], where: str) -> None:
@@ -110,29 +126,36 @@ def validate_config(cfg: dict) -> dict:
         if required not in cfg:
             raise ConfigError(f"config missing required section '{required}'")
 
-    _check_keys(cfg["dataset"], _DATASET_KEYS, "dataset")
-    if "kind" not in cfg["dataset"]:
+    data = cfg["dataset"]
+    _check_keys(data, _DATASET_KEYS, "dataset")
+    if "kind" not in data:
         raise ConfigError("dataset needs a 'kind'")
+    with _building("dataset"):
+        generate(data["kind"], data.get("spec", {}), 0, int(data.get("seed", 0)))
 
     if "schedule" in cfg:
         _check_keys(cfg["schedule"], _SCHEDULE_KEYS, "schedule")
-    try:
+    with _building("schedule"):
         T = build_schedule(cfg).T
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
 
     if "score_model" in cfg:
-        _check_keys(cfg["score_model"], _SCORE_KEYS, "score_model")
-        kind = cfg["score_model"].get("kind")
+        sm = cfg["score_model"]
+        _check_keys(sm, _SCORE_KEYS, "score_model")
+        kind = sm.get("kind")
         if kind not in ("analytic-gmm", "trained-denoiser"):
             raise ConfigError(f"score_model.kind must be analytic-gmm or trained-denoiser, got {kind!r}")
-        if "train" in cfg["score_model"]:
-            _check_keys(cfg["score_model"]["train"], _SCORE_TRAIN_KEYS, "score_model.train")
+        if "prior" in sm:
+            with _building("score_model.prior"):
+                prior_from_spec(sm["prior"])
+        if "train" in sm:
+            _check_keys(sm["train"], _SCORE_TRAIN_KEYS, "score_model.train")
+            _check_choice(sm["train"], "space", ("pixel", "latent"), "score_model.train")
 
     if "probe" in cfg:
         _check_keys(cfg["probe"], _PROBE_KEYS, "probe")
         if "train" in cfg["probe"]:
             _check_keys(cfg["probe"]["train"], _PROBE_TRAIN_KEYS, "probe.train")
+            _check_choice(cfg["probe"]["train"], "f", PROBE_MAPS, "probe.train")
         if "action" in cfg["probe"]:
             _check_keys(cfg["probe"]["action"], _GROUP_KEYS, "probe.action")
         if cfg["probe"].get("latent_action"):
@@ -150,12 +173,9 @@ def validate_config(cfg: dict) -> dict:
         cells += _sweep_cells(cfg["sweep"])
     # every sampler config that run or sweep will build, built the same way
     for cell in cells:
-        where = f"sweep cell {cell}" if cell else "sampler"
-        try:
+        with _building(f"sweep cell {cell}" if cell else "sampler"):
             sampler = _sampler_config(cfg, 0, cell)
             step_indices(T, sampler.steps)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
     if ALGORITHMS[sampler.algorithm].family == "unconditional":
         raise ConfigError(f"sampler.algorithm '{sampler.algorithm}' draws unconditional samples; "
                           "run and sweep need a measurement-conditioned algorithm")

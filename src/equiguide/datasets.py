@@ -15,6 +15,7 @@ from .gmm import GMMPrior, sample_gmm
 
 __all__ = [
     "Dataset",
+    "prior_from_spec",
     "gen_gmm_points",
     "gen_ring_manifold",
     "gen_sym_shapes_grid",
@@ -52,19 +53,22 @@ def mirror_symmetrize(prior: GMMPrior, swap: tuple[int, int]) -> GMMPrior:
     return GMMPrior(weights, means, covs)
 
 
-def gen_gmm_points(spec: dict, n: int, rng: np.random.Generator) -> Dataset:
-    """Exact mixture samples; optional mirror-symmetrization of the prior.
+def prior_from_spec(spec: dict) -> GMMPrior:
+    """The mixture a spec declares, mirror-symmetrized when it names a swap.
 
     spec: {"weights": [...], "means": [...], "covariances": [...],
            "mirror_swap": [i, j] (optional)}
     """
-    prior = GMMPrior(
-        np.asarray(spec["weights"], dtype=np.float64),
-        np.asarray(spec["means"], dtype=np.float64),
-        np.asarray(spec["covariances"], dtype=np.float64),
-    )
+    prior = GMMPrior(*(np.asarray(spec[k], dtype=np.float64)
+                       for k in ("weights", "means", "covariances")))
     if spec.get("mirror_swap") is not None:
         prior = mirror_symmetrize(prior, tuple(spec["mirror_swap"]))
+    return prior
+
+
+def gen_gmm_points(spec: dict, n: int, rng: np.random.Generator) -> Dataset:
+    """Exact samples of ``prior_from_spec(spec)``."""
+    prior = prior_from_spec(spec)
     items = sample_gmm(prior, n, rng) if n > 0 else np.zeros((0, prior.dim))
     meta = {"kind": "gmm-points", "spec": _plain(spec), "n": n}
     return Dataset(kind="gmm-points", items=items, metadata=meta)

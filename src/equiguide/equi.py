@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, l2_norm, norm_sq, square, sub, tmean
+from .autodiff import Tensor, l2_norm, norm_sq, square, sub, tmean
 from .containers import ContainerError, load_tensors, save_tensors
 from .groups import GroupAction, make_group
-from .models import _canonical_order
-from .nn import Adam, ConvAutoencoder, MlpAutoencoder, _wrap_params
+from .nn import ConvAutoencoder, MlpAutoencoder, build_net, fit, training_items
 
 __all__ = [
+    "PROBE_MAPS",
     "EquiLossConfig",
     "EquivariantFunction",
     "equi_error",
@@ -117,6 +117,9 @@ def equicon_loss(m: EquivariantFunction, z0t: Tensor, g: int, cfg: EquiLossConfi
 
 # -- probe construction ----------------------------------------------------------
 
+PROBE_MAPS = ("encoder", "decoder", "autoencoder")  # what a probe's f can be
+_SAVED_META = ("data_action", "latent_action", "recon_mse", "data_var", "augment")
+
 
 def _probe_from_autoencoder(ae, data_action_spec: dict, f_kind: str,
                             latent_action_spec: dict | None = None, meta=None) -> EquivariantFunction:
@@ -131,7 +134,7 @@ def _probe_from_autoencoder(ae, data_action_spec: dict, f_kind: str,
         action = make_group(data_action_spec)
         fn = lambda x: ae.decode(ae.encode(x))
         return EquivariantFunction(fn, action, h=None, name="autoencoder", meta=meta)
-    raise ValueError(f"f must be encoder, decoder or autoencoder, got '{f_kind}'")
+    raise ValueError(f"f must be one of {PROBE_MAPS}, got {f_kind!r}")
 
 
 def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None = None) -> EquivariantFunction:
@@ -147,20 +150,16 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     channels, latent_channels (grids), augment, f, latent_action.
     """
     cfg = dict(cfg or {})
-    items = np.asarray([np.asarray(a, dtype=np.float64) for a in dataset])
-    if items.size == 0:
-        raise ValueError("dataset must be nonempty")
+    f_kind = cfg.get("f", "encoder")
+    if f_kind not in PROBE_MAPS:
+        raise ValueError(f"f must be one of {PROBE_MAPS}, got {f_kind!r}")
+    items = training_items(dataset)
     data_shape = items.shape[1:]
-    items = _canonical_order(items)
 
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(cfg.get("seed", 0)))
     steps = int(cfg.get("steps", 1500))
     batch = min(int(cfg.get("batch_size", 64)), len(items))
-    lr = float(cfg.get("lr", 1e-3))
     augment = bool(cfg.get("augment", True))
-    f_kind = cfg.get("f", "encoder")
-
     if len(data_shape) == 1:
         ae = MlpAutoencoder(data_shape[0], list(cfg.get("hidden", [64, 64])),
                             int(cfg.get("latent_dim", max(1, data_shape[0] // 2))), rng)
@@ -172,35 +171,20 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     else:
         raise ValueError(f"unsupported data shape {data_shape}")
 
-    history: list[float] = []
-    opt = Adam(lr)
-    try:
-        for _ in range(steps):
-            idx = rng.integers(0, len(items), size=batch)
-            x0 = items[idx].copy()
-            if augment and action.order > 1:
-                for b in range(batch):
-                    if rng.random() >= 0.5:
-                        g = action.random_element(rng)
-                        x0[b] = action.apply_domain(g, x0[b])
-            params = _wrap_params(ae.params, True)
-            xin = Tensor(x0)
-            recon = ae.decode(ae.encode(xin, params=params), params=params)
-            loss = tmean(square(sub(recon, xin)))
-            backward(loss)
-            history.append(loss.item())
-            grads = {k: p.grad for k, p in params.items()}
-            new = dict(ae.params)
-            opt.step(new, grads)
-            ae.set_params(new)
-    except FloatingPointError as exc:
-        raise RuntimeError(f"autoencoder training diverged: {exc}") from exc
+    def batch_loss(params):
+        x0 = items[rng.integers(0, len(items), size=batch)]
+        if augment and action.order > 1:
+            for b in range(batch):
+                if rng.random() >= 0.5:
+                    x0[b] = action.apply_domain(action.random_element(rng), x0[b])
+        xin = Tensor(x0)
+        return tmean(square(sub(ae.decode(ae.encode(xin, params=params), params=params), xin)))
+
+    history = fit(ae, batch_loss, steps, float(cfg.get("lr", 1e-3)))
 
     # held-out style reconstruction check on the training distribution
-    probe_n = min(256, len(items))
-    xs = items[:probe_n]
-    recon = ae.decode(ae.encode(Tensor(xs))).data
-    recon_mse = float(np.mean((recon - xs) ** 2))
+    xs = items[:min(256, len(items))]
+    recon_mse = float(np.mean((ae.decode(ae.encode(Tensor(xs))).data - xs) ** 2))
     data_var = float(np.var(xs))
     meta = {
         "recon_mse": recon_mse,
@@ -210,12 +194,11 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
         "loss_history": history,
         "ae": ae,
         "train_cfg": {k: v for k, v in cfg.items() if k != "latent_action"},
+        "data_action": dict(action.domain_spec),
+        "latent_action": cfg.get("latent_action"),
     }
-    data_spec = dict(action.domain_spec)
-    latent_spec = cfg.get("latent_action")
-    meta["data_action"] = data_spec
-    meta["latent_action"] = latent_spec
-    return _probe_from_autoencoder(ae, data_spec, f_kind, latent_action_spec=latent_spec, meta=meta)
+    return _probe_from_autoencoder(ae, meta["data_action"], f_kind,
+                                   latent_action_spec=meta["latent_action"], meta=meta)
 
 
 def mpe_sweep(m: EquivariantFunction, dataset, noise_levels, rng: np.random.Generator,
@@ -250,16 +233,8 @@ def save_probe(path, m: EquivariantFunction) -> None:
     ae = m.meta.get("ae")
     if ae is None:
         raise ValueError("only autoencoder-backed probes can be saved")
-    manifest = {
-        "kind": "equivariant-probe",
-        "f": m.name,
-        "ae": ae.config(),
-        "data_action": m.meta.get("data_action"),
-        "latent_action": m.meta.get("latent_action"),
-        "recon_mse": m.meta.get("recon_mse"),
-        "data_var": m.meta.get("data_var"),
-        "augment": m.meta.get("augment"),
-    }
+    manifest = {"kind": "equivariant-probe", "f": m.name, "ae": ae.config(),
+                **{k: m.meta.get(k) for k in _SAVED_META}}
     save_tensors(path, dict(ae.params), manifest=manifest)
 
 
@@ -267,12 +242,8 @@ def load_probe(path) -> EquivariantFunction:
     tensors, manifest = load_tensors(path)
     if manifest.get("kind") != "equivariant-probe":
         raise ContainerError(f"not a probe checkpoint: {manifest.get('kind')}")
-    ae_cfg = manifest["ae"]
-    ae = MlpAutoencoder.from_config(ae_cfg) if ae_cfg["arch"] == "mlp-ae" else ConvAutoencoder.from_config(ae_cfg)
-    ae.set_params({k: tensors[k] for k in tensors})
-    meta = {"ae": ae, "recon_mse": manifest.get("recon_mse"),
-            "data_var": manifest.get("data_var"), "augment": manifest.get("augment"),
-            "data_action": manifest.get("data_action"),
-            "latent_action": manifest.get("latent_action")}
+    ae = build_net(manifest["ae"])
+    ae.set_params(tensors)
+    meta = {"ae": ae, **{k: manifest.get(k) for k in _SAVED_META}}
     return _probe_from_autoencoder(ae, manifest["data_action"], manifest["f"],
                                    latent_action_spec=manifest.get("latent_action"), meta=meta)

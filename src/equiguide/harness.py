@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .config import _SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_schedule
-from .datasets import Dataset, generate, load_dataset, ring_distance, save_dataset
+from .datasets import Dataset, generate, load_dataset, prior_from_spec, ring_distance, save_dataset
 from .equi import load_probe, save_probe, train_autoencoder_augmented
-from .gmm import GMMPrior, gmm_posterior_exact, sample_gmm
+from .gmm import gmm_posterior_exact, sample_gmm
 from .groups import make_group
 from .metrics import diversity, psnr, sliced_wasserstein, ssim
 from .models import (
@@ -148,16 +148,7 @@ def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
         prior_spec = sm.get("prior")
         if prior_spec is None:
             raise ConfigError("analytic-gmm score model needs a prior")
-        from .datasets import mirror_symmetrize
-
-        prior = GMMPrior(
-            np.asarray(prior_spec["weights"], dtype=np.float64),
-            np.asarray(prior_spec["means"], dtype=np.float64),
-            np.asarray(prior_spec["covariances"], dtype=np.float64),
-        )
-        if prior_spec.get("mirror_swap") is not None:
-            prior = mirror_symmetrize(prior, tuple(prior_spec["mirror_swap"]))
-        return AnalyticGmmScore(prior, sched)
+        return AnalyticGmmScore(prior_from_spec(prior_spec), sched)
     return load_score_model(_checkpoint_path(sm, out, "denoiser.eqc", "denoiser"))
 
 
@@ -192,8 +183,7 @@ def _run_sampler(model, op, y, probe, scfg: SamplerConfig, n_chains: int) -> Tra
     if probe is None or probe.meta.get("ae") is None:
         raise ConfigError(f"latent sampler '{scfg.algorithm}' needs an autoencoder probe")
     sample = equi_psld_sample if alg.family == "psld" else equi_resample_sample
-    return sample(model, probe.meta["ae"], op, y, m, scfg, constrained=alg.constrained,
-                  n_chains=n_chains)
+    return sample(model, probe.meta["ae"], op, y, m, scfg, n_chains=n_chains)
 
 
 def _measurement_seed(seed: int, image_idx: int) -> int:

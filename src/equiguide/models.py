@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, div, mul, reshape
+from .autodiff import Tensor, add, div, mul, reshape, square, tmean
 from .containers import ContainerError, load_tensors, save_tensors
 from .gmm import GMMPrior, _score_cache, gmm_marginal_score_traced
-from .nn import Adam, ConvNet, Mlp, _wrap_params
+from .nn import ConvNet, Mlp, TrainingDiverged, build_net, fit, training_items
 from .schedule import NoiseSchedule, time_features
 
 __all__ = [
@@ -26,10 +26,6 @@ __all__ = [
     "save_score_model",
     "load_score_model",
 ]
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 class AnalyticGmmScore:
@@ -103,13 +99,6 @@ def tweedie_x0(x_t, t: int, model):
     return tweedie_x0_traced(Tensor(np.asarray(x_t, dtype=np.float64)), t, model).data
 
 
-def _canonical_order(items: np.ndarray) -> np.ndarray:
-    """Sort samples by their raw bytes so training ignores dataset order."""
-    keys = [a.tobytes() for a in items]
-    order = sorted(range(len(items)), key=lambda i: keys[i])
-    return items[order]
-
-
 def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> DenoiserScore:
     """Denoising score-matching training of a small epsilon net.
 
@@ -117,57 +106,34 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
     latents a 4-layer conv net with 1 or C channels.
     cfg keys: steps, batch_size, lr, seed, hidden, width.
     """
-    from .autodiff import backward, tmean, square
-
     cfg = dict(cfg or {})
-    items = np.asarray([np.asarray(a, dtype=np.float64) for a in dataset])
-    if items.size == 0:
-        raise ValueError("dataset must be nonempty")
+    items = training_items(dataset)
     data_shape = items.shape[1:]
     if len(data_shape) not in (1, 2, 3):
         raise ValueError(f"expected vector, grid or (C, h, w) data, got shape {data_shape}")
-    items = _canonical_order(items)
 
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(cfg.get("seed", 0)))
     steps = int(cfg.get("steps", 2000))
     batch = min(int(cfg.get("batch_size", 64)), len(items))
-    lr = float(cfg.get("lr", 1e-3))
-
     if len(data_shape) == 1:
-        hidden = list(cfg.get("hidden", [128, 128, 128]))
-        net = Mlp(data_shape[0], hidden, data_shape[0], rng, cond_dim=8)
+        net = Mlp(data_shape[0], list(cfg.get("hidden", [128, 128, 128])), data_shape[0], rng,
+                  cond_dim=8)
     else:
         channels = data_shape[0] if len(data_shape) == 3 else 1
         net = ConvNet(channels, int(cfg.get("width", 32)), rng, cond_dim=8)
+    model = DenoiserScore(net, sched, data_shape)
 
-    model = DenoiserScore(net, sched, data_shape, trained=False)
-    if steps == 0:
-        return model
+    def batch_loss(params):
+        x0 = items[rng.integers(0, len(items), size=batch)]
+        ts = rng.integers(1, sched.T + 1, size=batch)
+        abar = sched.alpha_bar[ts - 1].reshape((batch,) + (1,) * len(data_shape))
+        eps = rng.standard_normal(x0.shape)
+        x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+        cond = np.stack([time_features(int(t), sched) for t in ts])
+        return tmean(square(model.eps(Tensor(x_t), cond, params=params) - Tensor(eps)))
 
-    opt = Adam(lr)
-    history: list[float] = []
-    try:
-        for _ in range(steps):
-            idx = rng.integers(0, len(items), size=batch)
-            x0 = items[idx]
-            ts = rng.integers(1, sched.T + 1, size=batch)
-            abar = sched.alpha_bar[ts - 1].reshape((batch,) + (1,) * len(data_shape))
-            eps = rng.standard_normal(x0.shape)
-            x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-
-            params = _wrap_params(net.params, True)
-            cond = np.stack([time_features(int(t), sched) for t in ts])
-            pred = model.eps(Tensor(x_t), cond, params=params)
-            loss = tmean(square(pred - Tensor(eps)))
-            backward(loss)
-            history.append(loss.item())
-            opt.step(net.params, {k: p.grad for k, p in params.items()})
-    except FloatingPointError as exc:
-        raise TrainingDiverged(f"training produced non-finite values: {exc}") from exc
-
-    model.trained = True
-    model.loss_history = history
+    model.loss_history = fit(net, batch_loss, steps, float(cfg.get("lr", 1e-3)))
+    model.trained = steps > 0
     return model
 
 
@@ -186,8 +152,7 @@ def load_score_model(path) -> DenoiserScore:
     tensors, manifest = load_tensors(path)
     if manifest.get("kind") != "trained-denoiser":
         raise ContainerError(f"not a denoiser checkpoint: {manifest.get('kind')}")
-    net_cfg = manifest["net"]
-    net = Mlp.from_config(net_cfg) if net_cfg["arch"] == "mlp" else ConvNet.from_config(net_cfg)
-    net.params = {k: tensors[k] for k in net.params}
+    net = build_net(manifest["net"])
+    net.set_params({k: tensors[k] for k in net.params})
     sched = NoiseSchedule.from_config(manifest["schedule"])
     return DenoiserScore(net, sched, tuple(manifest["data_shape"]), trained=manifest["trained"])

@@ -1,8 +1,10 @@
-"""Small trainable networks and the adaptive-moment optimizer.
+"""Small trainable networks: how they are built, fitted and rebuilt.
 
 Parameters live as plain float64 arrays; each forward pass wraps them in
 tensors (gradient-tracked only while training), so trained networks are
-immutable and safely shared across sampler chains.
+immutable and safely shared across sampler chains. ``build_net`` rebuilds a
+net from its ``config()`` and ``fit`` is the one Adam loop; a trainer only
+says how it draws and scores a batch.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    backward,
     conv2d_mc,
     matmul,
     relu,
@@ -20,8 +23,14 @@ from .autodiff import (
     upsample_repeat,
     downsample_mean,
 )
+from .containers import ContainerError
 
-__all__ = ["Adam", "Mlp", "ConvNet", "MlpAutoencoder", "ConvAutoencoder"]
+__all__ = ["Adam", "Net", "Mlp", "ConvNet", "MlpAutoencoder", "ConvAutoencoder", "build_net",
+           "training_items", "fit", "TrainingDiverged"]
+
+
+class TrainingDiverged(RuntimeError):
+    pass
 
 
 class Adam:
@@ -64,8 +73,24 @@ def _he(rng, fan_in, shape):
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-class Mlp:
+class Net:
+    """A net whose ``config()`` holds the constructor arguments named in ``_args``."""
+
+    arch = ""
+    _args: tuple[str, ...] = ()
+
+    def config(self) -> dict:
+        return {"arch": self.arch, **{k: getattr(self, k) for k in self._args}}
+
+    def set_params(self, flat: dict[str, np.ndarray]) -> None:
+        self.params.update(flat)
+
+
+class Mlp(Net):
     """Fully connected net with an additive conditioning input on layer one."""
+
+    arch = "mlp"
+    _args = ("in_dim", "hidden", "out_dim", "cond_dim", "activation")
 
     def __init__(self, in_dim: int, hidden: list[int], out_dim: int, rng: np.random.Generator,
                  cond_dim: int = 0, activation: str = "relu"):
@@ -99,25 +124,12 @@ class Mlp:
                 h = self._act(h)
         return h
 
-    def config(self) -> dict:
-        return {
-            "arch": "mlp",
-            "in_dim": self.in_dim,
-            "hidden": self.hidden,
-            "out_dim": self.out_dim,
-            "cond_dim": self.cond_dim,
-            "activation": self.activation,
-        }
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Mlp":
-        return cls(cfg["in_dim"], list(cfg["hidden"]), cfg["out_dim"],
-                   np.random.default_rng(0), cond_dim=cfg.get("cond_dim", 0),
-                   activation=cfg.get("activation", "relu"))
-
-
-class ConvNet:
+class ConvNet(Net):
     """4-layer same-size conv stack with per-layer additive time conditioning."""
+
+    arch = "conv"
+    _args = ("channels", "width", "cond_dim", "n_layers", "ksize")
 
     def __init__(self, channels: int, width: int, rng: np.random.Generator,
                  cond_dim: int = 8, n_layers: int = 4, ksize: int = 3):
@@ -155,25 +167,12 @@ class ConvNet:
                 h = relu(h)
         return h
 
-    def config(self) -> dict:
-        return {
-            "arch": "conv",
-            "channels": self.channels,
-            "width": self.width,
-            "cond_dim": self.cond_dim,
-            "n_layers": self.n_layers,
-            "ksize": self.ksize,
-        }
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ConvNet":
-        return cls(cfg["channels"], cfg["width"], np.random.default_rng(0),
-                   cond_dim=cfg.get("cond_dim", 8), n_layers=cfg.get("n_layers", 4),
-                   ksize=cfg.get("ksize", 3))
-
-
-class MlpAutoencoder:
+class MlpAutoencoder(Net):
     """Fully connected autoencoder for vector data; latent_dim < in_dim."""
+
+    arch = "mlp-ae"
+    _args = ("in_dim", "hidden", "latent_dim")
 
     def __init__(self, in_dim: int, hidden: list[int], latent_dim: int, rng: np.random.Generator):
         if latent_dim >= in_dim:
@@ -213,21 +212,16 @@ class MlpAutoencoder:
     def latent_shape(self):
         return (self.latent_dim,)
 
-    def config(self) -> dict:
-        return {"arch": "mlp-ae", "in_dim": self.in_dim, "hidden": self.hidden,
-                "latent_dim": self.latent_dim}
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MlpAutoencoder":
-        return cls(cfg["in_dim"], list(cfg["hidden"]), cfg["latent_dim"], np.random.default_rng(0))
-
-
-class ConvAutoencoder:
+class ConvAutoencoder(Net):
     """Convolutional autoencoder over single-channel grids with a spatial latent.
 
     The latent keeps its grid structure (C x H/4 x W/4), so spatial group
     actions act on it directly.
     """
+
+    arch = "conv-ae"
+    _args = ("grid", "channels", "latent_channels", "ksize")
 
     def __init__(self, grid: int, channels: int, latent_channels: int, rng: np.random.Generator,
                  ksize: int = 3):
@@ -279,18 +273,51 @@ class ConvAutoencoder:
             return reshape(out, (self.grid, self.grid))
         return reshape(out, (out.shape[0], self.grid, self.grid))
 
-    def set_params(self, flat: dict[str, np.ndarray]) -> None:
-        self.params.update(flat)
-
     def latent_shape(self):
         g = self.grid // 4
         return (self.latent_channels, g, g)
 
-    def config(self) -> dict:
-        return {"arch": "conv-ae", "grid": self.grid, "channels": self.channels,
-                "latent_channels": self.latent_channels, "ksize": self.ksize}
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ConvAutoencoder":
-        return cls(cfg["grid"], cfg["channels"], cfg["latent_channels"],
-                   np.random.default_rng(0), ksize=cfg.get("ksize", 3))
+_ARCHS = {cls.arch: cls for cls in (Mlp, ConvNet, MlpAutoencoder, ConvAutoencoder)}
+
+
+def build_net(config: dict) -> Net:
+    """A fresh net of ``config()``'s architecture; its parameters come from ``set_params``."""
+    args = dict(config)
+    cls = _ARCHS.get(args.pop("arch", None))
+    if cls is None:
+        raise ContainerError(f"unknown network arch {config.get('arch')!r}")
+    return cls(rng=np.random.default_rng(0), **args)
+
+
+def training_items(dataset) -> np.ndarray:
+    """The dataset stacked as float64 and sorted by raw bytes, so training ignores its order."""
+    items = np.asarray([np.asarray(a, dtype=np.float64) for a in dataset])
+    if items.size == 0:
+        raise ValueError("dataset must be nonempty")
+    keys = [a.tobytes() for a in items]
+    return items[sorted(range(len(items)), key=keys.__getitem__)]
+
+
+def fit(net: Net, batch_loss, steps: int, lr: float) -> list[float]:
+    """Adam on ``net``'s parameters for ``steps`` batches; returns the loss history.
+
+    ``batch_loss(params)`` draws a batch and returns its scalar loss through
+    the gradient-tracked ``params``.
+    """
+    opt = Adam(lr)
+    history: list[float] = []
+    try:
+        with np.errstate(all="ignore"):  # a non-finite value raises on the tape instead
+            for _ in range(steps):
+                params = _wrap_params(net.params, True)
+                loss = batch_loss(params)
+                backward(loss)
+                history.append(loss.item())
+                new = net.params  # an autoencoder's flat params are a new dict on each read
+                opt.step(new, {k: p.grad for k, p in params.items()})
+                net.set_params(new)
+            _wrap_params(net.params, False)  # so is one left by the last update
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"training produced non-finite values: {exc}") from exc
+    return history

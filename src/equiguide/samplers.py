@@ -209,9 +209,9 @@ def expected_reg_count(N: int, equi_cfg: EquiLossConfig) -> int:
     return int(np.ceil(active / equi_cfg.period)) if equi_cfg.lam > 0 else 0
 
 
-def _reg_loss(m: EquivariantFunction | None, constrained: bool):
-    """The latent families' penalty; the constrained loss needs the probe's inverse."""
-    if not constrained:
+def _reg_loss(m: EquivariantFunction | None, cfg: SamplerConfig):
+    """The penalty of cfg's latent algorithm; the constrained loss needs the probe's inverse."""
+    if not ALGORITHMS[cfg.algorithm].constrained:
         return equi_loss
     if m is not None and not m.has_inverse:
         raise SamplerError("constrained variant needs a probe with an inverse map")
@@ -412,7 +412,7 @@ def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
 
 def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                      m: EquivariantFunction | None, cfg: SamplerConfig,
-                     constrained: bool = False, n_chains: int = 1) -> Trajectory:
+                     n_chains: int = 1) -> Trajectory:
     """Latent chain with measurement, gluing, and equivariance corrections.
 
     The probe's map should be the decoder (latent domain, pixel codomain); the
@@ -423,7 +423,7 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
     """
     if not op.is_linear:
         raise SamplerError("latent gluing requires a linear operator")
-    reg_loss = _reg_loss(m, constrained)
+    reg_loss = _reg_loss(m, cfg)
     sched = model.schedule
     lat_shape = ae.latent_shape()
     y = np.asarray(y, dtype=np.float64)
@@ -473,7 +473,7 @@ def stochastic_resample(z0y: np.ndarray, z_prime: np.ndarray, gamma: float,
 
 def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                          m: EquivariantFunction | None, cfg: SamplerConfig,
-                         constrained: bool = False, n_chains: int = 1) -> Trajectory:
+                         n_chains: int = 1) -> Trajectory:
     """DDIM chain with hard data consistency by inner descent on resample steps.
 
     The inner loop minimizes 0.5 ||y - A(D(z))||^2 plus the (optionally
@@ -481,7 +481,7 @@ def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
     optimized estimate back to the current time by a stochastic blend.
     ``m=None`` is plain ReSample. Batched chains share the stop and divergence check.
     """
-    reg_loss = _reg_loss(m, constrained)
+    reg_loss = _reg_loss(m, cfg)
     sched = model.schedule
     y = np.asarray(y, dtype=np.float64)
     members = set(range(cfg.steps)) if cfg.resample_steps == "all" else set(cfg.resample_steps)

@@ -396,7 +396,7 @@ def test_a9_reduction_identities():
                          SamplerConfig(algorithm="equi-psld", equi=zero, **c))
     checks.append(("equi-psld", np.array_equal(b.final, e.final)))
     e = equi_psld_sample(model, ae, op, y, probe,
-                         SamplerConfig(algorithm="equicon-psld", equi=zero, **c), constrained=True)
+                         SamplerConfig(algorithm="equicon-psld", equi=zero, **c))
     checks.append(("equicon-psld", np.array_equal(b.final, e.final)))
 
     c2 = dict(steps=20, seed=4, k_meas=5, inner_lr=0.1, gamma_resample=10.0, record_states=True)
@@ -405,8 +405,7 @@ def test_a9_reduction_identities():
                              SamplerConfig(algorithm="equi-resample", equi=zero, **c2))
     checks.append(("equi-resample", np.array_equal(b.final, e.final)))
     e = equi_resample_sample(model, ae, op, y, probe,
-                             SamplerConfig(algorithm="equicon-resample", equi=zero, **c2),
-                             constrained=True)
+                             SamplerConfig(algorithm="equicon-resample", equi=zero, **c2))
     checks.append(("equicon-resample", np.array_equal(b.final, e.final)))
 
     c3 = dict(steps=10, seed=3, k_meas=4, k_equi=0, inner_lr=0.05, delta=1e-4)

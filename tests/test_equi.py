@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equiguide import equi
 from equiguide.autodiff import Tensor, check_gradient, mul, square, tanh
 from equiguide.equi import (
     EquiLossConfig,
@@ -158,6 +159,13 @@ def test_latent_dim_must_shrink():
     action = make_group({"group": "flip-h"})
     with pytest.raises(ValueError):
         train_autoencoder_augmented(data, action, {"steps": 1, "latent_dim": 4})
+
+
+def test_unknown_probe_map_is_rejected_before_training(monkeypatch):
+    monkeypatch.setattr(equi, "fit", lambda *args: pytest.fail("trained before checking f"))
+    with pytest.raises(ValueError, match="f must be one of"):
+        train_autoencoder_augmented(np.ones((4, 4)), make_group({"group": "flip-h"}),
+                                    {"f": "encodr"})
 
 
 def test_mpe_sweep_shape_and_trivial_cases():

@@ -427,3 +427,34 @@ def test_cli_bad_operator_value_exits_2(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "keep_prob" in err
+
+
+BAD_INPUTS = [
+    ("train", "dataset.kind", "nope", "unknown dataset kind"),
+    ("train", "dataset.spec.weights", [0.7, 0.7], "dataset: weights must form a simplex"),
+    ("run", "score_model.prior.weights", [0.7, 0.7], "score_model.prior: weights must form"),
+    ("train", "score_model.train.space", "latnet", "score_model.train.space"),
+    ("train", "probe.train.f", "encodr", "probe.train.f"),
+    ("train", "score_model.train.lr", 1e150, "TrainingDiverged"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,message", BAD_INPUTS,
+                         ids=[f"{k}={v!r}" for _, k, v, _ in BAD_INPUTS])
+def test_cli_bad_data_prior_or_training_input_exits_2(tmp_path, capsys, command, key, value,
+                                                      message):
+    cfg = vector_config(tmp_path, "equi-dps")
+    if key.startswith("score_model.prior"):
+        cfg["score_model"] = {"kind": "analytic-gmm",
+                              "prior": json.loads(json.dumps(cfg["dataset"]["spec"]))}
+    *parents, leaf = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    # a bad probe map or training space is rejected before any training
+    assert not (tmp_path / "denoiser.eqc").exists()
+    assert (tmp_path / "probe.eqc").exists() == (leaf == "lr")

@@ -233,7 +233,7 @@ def test_equicon_psld_reduction_identity():
     cfg1 = SamplerConfig(algorithm="equicon-psld", steps=20, seed=4, record_states=True,
                          equi=EquiLossConfig(lam=0.0))
     base = equi_psld_sample(model, ae, op, y, None, cfg0)
-    equi = equi_psld_sample(model, ae, op, y, m, cfg1, constrained=True)
+    equi = equi_psld_sample(model, ae, op, y, m, cfg1)
     np.testing.assert_array_equal(base.final, equi.final)
 
 
@@ -291,7 +291,7 @@ def test_resample_reduction_identity():
     cfg2 = SamplerConfig(algorithm="equicon-resample", equi=EquiLossConfig(lam=0.0), **common)
     base = equi_resample_sample(model, ae, op, y, None, cfg0)
     e1 = equi_resample_sample(model, ae, op, y, m, cfg1)
-    e2 = equi_resample_sample(model, ae, op, y, m, cfg2, constrained=True)
+    e2 = equi_resample_sample(model, ae, op, y, m, cfg2)
     np.testing.assert_array_equal(base.final, e1.final)
     np.testing.assert_array_equal(base.final, e2.final)
 
