@@ -282,37 +282,19 @@ def sqrt(x) -> Tensor:
     return _unary(x, "sqrt", np.sqrt, lambda g, x_, y: g * 0.5 / y)
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x) -> Tensor:
     tx = _ensure_tensor(x)
-    out_data = tx.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g: np.ndarray) -> None:
-        if not tx.requires_grad:
-            return
-        if axis is None:
+        if tx.requires_grad:
             tx._accumulate(np.broadcast_to(g, tx.shape).copy())
-            return
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(a % tx.data.ndim for a in axes)
-        gg = g
-        if not keepdims:
-            for a in sorted(axes):
-                gg = np.expand_dims(gg, a)
-        tx._accumulate(np.broadcast_to(gg, tx.shape).copy())
 
-    return Tensor._wrap(np.asarray(out_data), (tx,), bwd, "sum")
+    return Tensor._wrap(np.asarray(tx.data.sum()), (tx,), bwd, "sum")
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x) -> Tensor:
     tx = _ensure_tensor(x)
-    if axis is None:
-        n = tx.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for a in axes:
-            n *= tx.shape[a % tx.data.ndim]
-    return div(tsum(tx, axis=axis, keepdims=keepdims), float(n))
+    return div(tsum(tx), float(tx.size))
 
 
 def reshape(x, shape) -> Tensor:

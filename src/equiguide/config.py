@@ -11,13 +11,17 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import generate, prior_from_spec
 from .equi import PROBE_MAPS, EquiLossConfig
+from .groups import make_group
+from .operators import MeasurementOperator, make_operator
 from .samplers import ALGORITHMS, SamplerConfig, step_indices
 from .schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = ["ConfigError", "load_config", "validate_config", "check_seeds", "build_schedule",
-           "DEFAULT_SCHEDULE"]
+           "build_operator", "DEFAULT_SCHEDULE"]
 
 
 class ConfigError(ValueError):
@@ -47,6 +51,8 @@ _GROUP_KEYS = {"group", "shift", "length", "perm"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -101,6 +107,26 @@ def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> Samp
     return SamplerConfig(seed=seed, equi=EquiLossConfig(**equi), **sc)
 
 
+def build_operator(cfg: dict, grid_shape, mask_size=None) -> MeasurementOperator:
+    """The config's operator for items of grid_shape, applied once to a zero item.
+
+    A sweep cell's ``mask_size`` replaces it by a centred square box inpainting.
+    """
+    spec = dict(cfg.get("operator", {"kind": "identity"}))
+    with _building(f"sweep.mask_size {mask_size!r}" if mask_size is not None
+                   else f"operator {spec.get('kind')!r}"):
+        if mask_size is not None:
+            if len(grid_shape) != 2:
+                raise ValueError(f"needs 2-D grid items, got shape {tuple(grid_shape)}")
+            h, w = grid_shape
+            spec.pop("shape", None)
+            spec.update(kind="box-inpaint",
+                        box=[(h - mask_size) // 2, (w - mask_size) // 2, mask_size, mask_size])
+        op = make_operator(spec, grid_shape=tuple(grid_shape))
+        op.apply(np.zeros(grid_shape))
+    return op
+
+
 _SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
 
 
@@ -131,7 +157,8 @@ def validate_config(cfg: dict) -> dict:
     if "kind" not in data:
         raise ConfigError("dataset needs a 'kind'")
     with _building("dataset"):
-        generate(data["kind"], data.get("spec", {}), 0, int(data.get("seed", 0)))
+        item_shape = generate(data["kind"], data.get("spec", {}), 0,
+                              int(data.get("seed", 0))).items.shape[1:]
 
     if "schedule" in cfg:
         _check_keys(cfg["schedule"], _SCHEDULE_KEYS, "schedule")
@@ -152,14 +179,20 @@ def validate_config(cfg: dict) -> dict:
             _check_choice(sm["train"], "space", ("pixel", "latent"), "score_model.train")
 
     if "probe" in cfg:
-        _check_keys(cfg["probe"], _PROBE_KEYS, "probe")
-        if "train" in cfg["probe"]:
-            _check_keys(cfg["probe"]["train"], _PROBE_TRAIN_KEYS, "probe.train")
-            _check_choice(cfg["probe"]["train"], "f", PROBE_MAPS, "probe.train")
-        if "action" in cfg["probe"]:
-            _check_keys(cfg["probe"]["action"], _GROUP_KEYS, "probe.action")
-        if cfg["probe"].get("latent_action"):
-            _check_keys(cfg["probe"]["latent_action"], _GROUP_KEYS, "probe.latent_action")
+        probe = cfg["probe"]
+        _check_keys(probe, _PROBE_KEYS, "probe")
+        if "train" in probe:
+            _check_keys(probe["train"], _PROBE_TRAIN_KEYS, "probe.train")
+            _check_choice(probe["train"], "f", PROBE_MAPS, "probe.train")
+        # the group actions that train builds: the data action acts on the items
+        data_action = probe.get("action", {"group": "flip-h"})
+        _check_keys(data_action, _GROUP_KEYS, "probe.action")
+        with _building("probe.action"):
+            make_group(data_action).apply_domain(1, np.zeros(item_shape))
+        if probe.get("latent_action"):
+            _check_keys(probe["latent_action"], _GROUP_KEYS, "probe.latent_action")
+            with _building("probe.latent_action"):
+                make_group(data_action, probe["latent_action"])
 
     if "operator" in cfg:
         _check_keys(cfg["operator"], _OPERATOR_KEYS, "operator")
@@ -171,11 +204,12 @@ def validate_config(cfg: dict) -> dict:
     if "sweep" in cfg:
         _check_keys(cfg["sweep"], _SWEEP_KEYS, "sweep")
         cells += _sweep_cells(cfg["sweep"])
-    # every sampler config that run or sweep will build, built the same way
+    # every sampler config and operator that run or sweep will build, built the same way
     for cell in cells:
         with _building(f"sweep cell {cell}" if cell else "sampler"):
             sampler = _sampler_config(cfg, 0, cell)
             step_indices(T, sampler.steps)
+        build_operator(cfg, item_shape, cell.get("mask_size"))
     if ALGORITHMS[sampler.algorithm].family == "unconditional":
         raise ConfigError(f"sampler.algorithm '{sampler.algorithm}' draws unconditional samples; "
                           "run and sweep need a measurement-conditioned algorithm")

@@ -1,14 +1,18 @@
-"""Finite group actions on vectors and grids as exact entry permutations.
+"""Finite cyclic group actions on vectors and grids as exact entry permutations.
 
-Every supported transform permutes tensor entries, so applying an action is
+``make_group`` decides each side's kind once, where it is built: a transform
+is the group's order and a generator that permutes an index grid. Element g
+is the generator applied g times, built once per (element, shape) as a
+flat-index permutation and cached. Applying an action is therefore
 norm-preserving, exactly invertible, and differentiates as the permutation
-transpose. All supported groups are cyclic, which makes composition and
-inversion plain modular arithmetic on element indices.
+transpose; composition and inversion are modular arithmetic on element indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,55 +23,24 @@ __all__ = ["GroupAction", "make_group"]
 
 
 class _Transform:
-    """Realization of abstract group elements as flat-index permutations."""
+    """One side of a cyclic group action: its order and its generator on index grids."""
 
-    def __init__(self, kind: str, order: int, params: dict):
-        self.kind = kind
+    def __init__(self, order: int, generator: Callable[[np.ndarray], np.ndarray]):
         self.order = order
-        self.params = params
+        self.generator = generator
         self._cache: dict[tuple, np.ndarray] = {}
 
     def perm(self, g: int, shape: tuple[int, ...]) -> np.ndarray:
         key = (g % self.order, shape)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._build(g % self.order, shape)
+            grid = np.arange(int(np.prod(shape))).reshape(shape)
+            for _ in range(key[0]):
+                grid = self.generator(grid)
+            hit = grid.reshape(-1)
             hit.setflags(write=False)
             self._cache[key] = hit
         return hit
-
-    def _build(self, g: int, shape: tuple[int, ...]) -> np.ndarray:
-        grid = np.arange(int(np.prod(shape))).reshape(shape)
-        k = self.kind
-        if g == 0 or k == "identity":
-            return grid.reshape(-1)
-        if k == "flip-h":
-            if len(shape) < 1:
-                raise ValueError("flip-h needs at least 1 dimension")
-            return np.flip(grid, axis=-1).reshape(-1)
-        if k == "flip-v":
-            if len(shape) < 2:
-                raise ValueError("flip-v needs a grid with at least 2 dimensions")
-            return np.flip(grid, axis=-2).reshape(-1)
-        if k == "rot90":
-            if len(shape) < 2 or shape[-1] != shape[-2]:
-                raise ValueError(f"rot90 needs a square grid, got {shape}")
-            return np.rot90(grid, k=g, axes=(-2, -1)).reshape(-1)
-        if k == "cyclic-translate":
-            n = self.params["length"]
-            if shape[-1] != n:
-                raise ValueError(f"cyclic-translate built for length {n}, got {shape}")
-            shift = (self.params["shift"] * g) % n
-            return np.roll(grid, shift, axis=-1).reshape(-1)
-        if k == "permutation":
-            base = self.params["perm"]
-            if shape[-1] != len(base):
-                raise ValueError(f"permutation of length {len(base)} on shape {shape}")
-            idx = np.arange(len(base))
-            for _ in range(g):
-                idx = base[idx]
-            return np.take(grid, idx, axis=-1).reshape(-1)
-        raise ValueError(f"unknown transform kind '{k}'")
 
     def apply(self, g: int, x):
         if isinstance(x, Tensor):
@@ -78,38 +51,60 @@ class _Transform:
         return arr.reshape(-1)[p].reshape(arr.shape)
 
 
-def _perm_order(perm: np.ndarray) -> int:
-    idx = np.arange(len(perm))
-    cur = perm.copy()
-    order = 1
-    while not np.array_equal(cur, idx):
-        cur = perm[cur]
-        order += 1
-        if order > len(perm) * len(perm):
-            raise ValueError("permutation order runaway")
-    return order
+def _flip_h(grid: np.ndarray) -> np.ndarray:
+    if grid.ndim < 1:
+        raise ValueError("flip-h needs at least 1 dimension")
+    return np.flip(grid, axis=-1)
+
+
+def _flip_v(grid: np.ndarray) -> np.ndarray:
+    if grid.ndim < 2:
+        raise ValueError("flip-v needs a grid with at least 2 dimensions")
+    return np.flip(grid, axis=-2)
+
+
+def _rot90(grid: np.ndarray) -> np.ndarray:
+    if grid.ndim < 2 or grid.shape[-1] != grid.shape[-2]:
+        raise ValueError(f"rot90 needs a square grid, got {grid.shape}")
+    return np.rot90(grid, axes=(-2, -1))
+
+
+# the kinds without parameters: (order, generator)
+_UNPARAMETRIZED = {"identity": (1, lambda grid: grid), "flip-h": (2, _flip_h),
+                   "flip-v": (2, _flip_v), "rot90": (4, _rot90)}
+
+
+def _reindex_last_axis(kind: str, idx: np.ndarray) -> _Transform:
+    """The transform generated by output[..., i] = input[..., idx[i]]."""
+    n = len(idx)
+    if n == 0 or sorted(idx.tolist()) != list(range(n)):
+        raise ValueError(f"{kind}: not a permutation of 0..n-1: {idx.tolist()}")
+    # the order of a permutation is the lcm of its cycle lengths
+    order, seen = 1, set()
+    for start in range(n):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = int(idx[j]), length + 1
+        order = math.lcm(order, length or 1)
+
+    def generator(grid: np.ndarray) -> np.ndarray:
+        if grid.shape[-1:] != (n,):
+            raise ValueError(f"{kind} of length {n} on shape {grid.shape}")
+        return np.take(grid, idx, axis=-1)
+
+    return _Transform(order, generator)
 
 
 def _transform_from_spec(spec: dict) -> _Transform:
     kind = spec["group"]
-    if kind == "identity":
-        return _Transform("identity", 1, {})
-    if kind in ("flip-h", "flip-v"):
-        return _Transform(kind, 2, {})
-    if kind == "rot90":
-        return _Transform(kind, 4, {})
+    if kind in _UNPARAMETRIZED:
+        return _Transform(*_UNPARAMETRIZED[kind])
     if kind == "cyclic-translate":
         n = int(spec["length"])
-        shift = int(spec.get("shift", 1)) % n
-        if shift == 0:
-            return _Transform("identity", 1, {})
-        order = n // np.gcd(shift, n)
-        return _Transform(kind, int(order), {"length": n, "shift": shift})
+        return _reindex_last_axis(kind, (np.arange(n) - int(spec.get("shift", 1))) % n)
     if kind == "permutation":
-        base = np.asarray(spec["perm"], dtype=np.int64)
-        if sorted(base.tolist()) != list(range(len(base))):
-            raise ValueError(f"not a permutation: {base}")
-        return _Transform(kind, _perm_order(base), {"perm": base})
+        return _reindex_last_axis(kind, np.asarray(spec["perm"], dtype=np.int64))
     raise ValueError(f"unknown group '{kind}'")
 
 
@@ -122,21 +117,18 @@ class GroupAction:
     and act on them exactly (entry permutation, no interpolation).
     """
 
-    group_id: str
     domain: _Transform
     codomain: _Transform
     domain_spec: dict = field(default_factory=dict)
-    codomain_spec: dict = field(default_factory=dict)
     order: int = field(init=False)
 
     def __post_init__(self):
         self.order = max(self.domain.order, self.codomain.order)
-        if self.domain.order not in (1, self.order) or self.codomain.order not in (1, self.order):
-            # identity-realized sides are allowed; otherwise orders must agree
-            if self.domain.order != self.codomain.order:
-                raise ValueError(
-                    f"domain order {self.domain.order} != codomain order {self.codomain.order}"
-                )
+        # an identity-realized side is allowed; otherwise the orders must agree
+        if min(self.domain.order, self.codomain.order) not in (1, self.order):
+            raise ValueError(
+                f"domain order {self.domain.order} != codomain order {self.codomain.order}"
+            )
 
     @property
     def elements(self) -> list[int]:
@@ -160,13 +152,9 @@ class GroupAction:
 
     def random_element(self, rng: np.random.Generator) -> int:
         """Uniform draw over the non-identity elements."""
-        pool = self.elements[1:]
-        if not pool:
+        if self.order < 2:
             raise ValueError("no non-identity elements to sample")
-        return int(pool[rng.integers(0, len(pool))])
-
-    def to_config(self) -> dict:
-        return {"domain": dict(self.domain_spec), "codomain": dict(self.codomain_spec)}
+        return 1 + int(rng.integers(0, self.order - 1))
 
 
 def make_group(spec: dict, codomain_spec: dict | None = None) -> GroupAction:
@@ -178,7 +166,5 @@ def make_group(spec: dict, codomain_spec: dict | None = None) -> GroupAction:
     or a scaled translation for maps that change dimension.
     """
     dom = _transform_from_spec(spec)
-    cod = _transform_from_spec(codomain_spec) if codomain_spec is not None else _transform_from_spec(spec)
-    gid = spec["group"] if codomain_spec is None else f"{spec['group']}|{codomain_spec['group']}"
-    return GroupAction(group_id=gid, domain=dom, codomain=cod,
-                       domain_spec=_plain(spec), codomain_spec=_plain(codomain_spec or spec))
+    cod = dom if codomain_spec is None else _transform_from_spec(codomain_spec)
+    return GroupAction(dom, cod, _plain(spec))

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_schedule
+from .config import (_SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_operator,
+                     build_schedule)
 from .datasets import Dataset, generate, load_dataset, prior_from_spec, ring_distance, save_dataset
 from .equi import load_probe, save_probe, train_autoencoder_augmented
 from .gmm import gmm_posterior_exact, sample_gmm
@@ -28,7 +29,7 @@ from .models import (
     save_score_model,
     train_denoiser,
 )
-from .operators import forward, make_operator
+from .operators import forward
 from .samplers import (
     ALGORITHMS,
     SamplerConfig,
@@ -150,21 +151,6 @@ def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
             raise ConfigError("analytic-gmm score model needs a prior")
         return AnalyticGmmScore(prior_from_spec(prior_spec), sched)
     return load_score_model(_checkpoint_path(sm, out, "denoiser.eqc", "denoiser"))
-
-
-def build_operator(cfg: dict, grid_shape, mask_size=None):
-    spec = dict(cfg.get("operator", {"kind": "identity"}))
-    if mask_size is not None:
-        h, w = grid_shape[-2], grid_shape[-1]
-        spec["kind"] = "box-inpaint"
-        spec["box"] = [(h - mask_size) // 2, (w - mask_size) // 2, mask_size, mask_size]
-        spec["shape"] = [h, w]
-    if spec["kind"] in ("box-inpaint", "random-inpaint") and "shape" not in spec:
-        spec["shape"] = list(grid_shape)
-    try:
-        return make_operator(spec, grid_shape=tuple(grid_shape))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"operator {spec.get('kind')!r}: {exc}") from exc
 
 
 def _run_sampler(model, op, y, probe, scfg: SamplerConfig, n_chains: int) -> Trajectory:

@@ -1,46 +1,27 @@
 """Forward measurement operators with exact adjoints / vector-Jacobian products.
 
-Each operator applies as a traced tensor composition, so guidance losses can
-differentiate through it and ``vjp`` falls out of the tape for free. Masking
-operators keep the ambient shape (masked coordinates read zero), which makes
-every linear kind self-describable as a dense matrix at desk scale.
+``make_operator`` decides the kind once, where it is built: it checks the spec
+and returns an operator holding that kind's forward map as a closure over
+traced tensor ops. Applying it is one call, guidance losses differentiate
+through it, and ``vjp`` falls out of the tape for free. Masking operators keep
+the ambient shape (masked coordinates read zero), which makes every linear
+kind self-describable as a dense matrix at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    backward,
-    conv2d,
-    div,
-    downsample_mean,
-    mul,
-    tanh,
-    tsum,
-)
+from .autodiff import Tensor, backward, conv2d, div, downsample_mean, mul, tanh, tsum
 
-__all__ = [
-    "MeasurementOperator",
-    "Measurement",
-    "make_operator",
-    "forward",
-    "gaussian_kernel",
-    "motion_kernel",
-]
+__all__ = ["MeasurementOperator", "Measurement", "make_operator", "forward", "gaussian_kernel",
+           "motion_kernel"]
 
-_KINDS = (
-    "identity",
-    "box-inpaint",
-    "random-inpaint",
-    "gaussian-blur",
-    "motion-blur",
-    "downsample",
-    "saturate",
-)
+_KINDS = ("identity", "box-inpaint", "random-inpaint", "gaussian-blur", "motion-blur",
+          "downsample", "saturate")
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -76,47 +57,23 @@ def motion_kernel(length: int, orientation: str = "horizontal") -> np.ndarray:
 
 @dataclass
 class MeasurementOperator:
-    """Forward map with measurement noise level; immutable and shareable."""
+    """Traced forward map with its measurement noise level; immutable and shareable.
 
-    kind: str
-    sigma_y: float
-    spec: dict
+    ``map`` takes and returns a Tensor. ``mask`` is the 0/1 observation mask of
+    the inpainting kinds and None for the others.
+    """
+
+    map: Callable[[Tensor], Tensor]
+    sigma_y: float = 0.0
+    is_linear: bool = True
     mask: np.ndarray | None = None
-    kernel: np.ndarray | None = None
-    padding: str = "reflect"
-    factor: int = 1
-    scale: float = 1.0
     _matrices: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.kind != "saturate"
 
     def apply(self, x):
         """Traced forward map; accepts numpy arrays or tensors."""
-        was_array = not isinstance(x, Tensor)
-        tx = Tensor(x) if was_array else x
-        k = self.kind
-        if k == "identity":
-            out = tx
-        elif k in ("box-inpaint", "random-inpaint"):
-            if self.mask.shape != tx.shape[-self.mask.ndim :]:
-                raise ValueError(f"mask shape {self.mask.shape} vs input {tx.shape}")
-            out = mul(tx, self.mask)
-        elif k in ("gaussian-blur", "motion-blur"):
-            out = conv2d(tx, self.kernel, padding=self.padding)
-        elif k == "downsample":
-            out = downsample_mean(tx, self.factor)
-        elif k == "saturate":
-            out = div(tanh(mul(tx, self.scale)), self.scale)
-        else:
-            raise ValueError(f"unknown operator kind '{k}'")
-        return out.data if was_array else out
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if self.kind == "downsample":
-            return in_shape[:-2] + (in_shape[-2] // self.factor, in_shape[-1] // self.factor)
-        return in_shape
+        if isinstance(x, Tensor):
+            return self.map(x)
+        return self.map(Tensor(x)).data
 
     def vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         """J(x)^T cotangent via the tape; equals the adjoint for linear kinds."""
@@ -152,18 +109,17 @@ class MeasurementOperator:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Observed data with the operator spec and noise seed that produced it."""
+    """Observed data with the noise seed that produced it."""
 
     y: np.ndarray
-    operator_spec: dict
-    sigma_y: float
     seed: int | None
 
 
 def make_operator(spec: dict, grid_shape: tuple[int, ...] | None = None) -> MeasurementOperator:
     """Construct an operator from a config dict.
 
-    Recognised specs (sigma_y defaults to 0):
+    Recognised specs (sigma_y defaults to 0; an inpainting shape defaults to
+    grid_shape):
       {"kind": "identity"}
       {"kind": "box-inpaint", "box": [top, left, h, w], "shape": [H, W]}
       {"kind": "random-inpaint", "keep_prob": p, "shape": [...], "seed": s}
@@ -172,7 +128,6 @@ def make_operator(spec: dict, grid_shape: tuple[int, ...] | None = None) -> Meas
       {"kind": "downsample", "factor": f}
       {"kind": "saturate", "scale": c}
     """
-    spec = dict(spec)
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"operator kind must be one of {_KINDS}, got {kind!r}")
@@ -182,45 +137,47 @@ def make_operator(spec: dict, grid_shape: tuple[int, ...] | None = None) -> Meas
     shape = tuple(spec.get("shape", grid_shape or ()))
 
     if kind == "identity":
-        return MeasurementOperator(kind, sigma_y, spec)
-    if kind == "box-inpaint":
+        return MeasurementOperator(lambda x: x, sigma_y)
+    if kind in ("box-inpaint", "random-inpaint"):
         if not shape:
-            raise ValueError("box-inpaint needs a grid shape")
-        top, left, bh, bw = (int(v) for v in spec["box"])
-        H, W = shape[-2], shape[-1]
-        if bh > H or bw > W or top + bh > H or left + bw > W or top < 0 or left < 0:
-            raise ValueError(f"box {spec['box']} does not fit grid {H}x{W}")
-        mask = np.ones(shape)
-        mask[..., top : top + bh, left : left + bw] = 0.0
-        return MeasurementOperator(kind, sigma_y, spec, mask=mask)
-    if kind == "random-inpaint":
-        if not shape:
-            raise ValueError("random-inpaint needs a grid shape")
-        p = float(spec["keep_prob"])
-        if not 0.0 < p <= 1.0:
-            raise ValueError("keep_prob must lie in (0, 1]")
-        mask_rng = np.random.default_rng(int(spec.get("seed", 0)))
-        mask = (mask_rng.random(shape) < p).astype(np.float64)
-        return MeasurementOperator(kind, sigma_y, spec, mask=mask)
-    if kind == "gaussian-blur":
-        k = gaussian_kernel(int(spec["size"]), float(spec["sigma"]))
-        return MeasurementOperator(kind, sigma_y, spec, kernel=k, padding=spec.get("padding", "reflect"))
-    if kind == "motion-blur":
-        k = motion_kernel(int(spec["size"]), spec.get("orientation", "horizontal"))
-        return MeasurementOperator(kind, sigma_y, spec, kernel=k, padding=spec.get("padding", "reflect"))
+            raise ValueError(f"{kind} needs a grid shape")
+        if kind == "box-inpaint":
+            top, left, bh, bw = (int(v) for v in spec["box"])
+            H, W = shape[-2], shape[-1]
+            if min(top, left, bh, bw) < 0 or top + bh > H or left + bw > W:
+                raise ValueError(f"box {spec['box']} does not fit grid {H}x{W}")
+            mask = np.ones(shape)
+            mask[..., top : top + bh, left : left + bw] = 0.0
+        else:
+            p = float(spec["keep_prob"])
+            if not 0.0 < p <= 1.0:
+                raise ValueError("keep_prob must lie in (0, 1]")
+            mask_rng = np.random.default_rng(int(spec.get("seed", 0)))
+            mask = (mask_rng.random(shape) < p).astype(np.float64)
+
+        def masked(x: Tensor) -> Tensor:
+            if mask.shape != x.shape[-mask.ndim :]:
+                raise ValueError(f"mask shape {mask.shape} vs input {x.shape}")
+            return mul(x, mask)
+
+        return MeasurementOperator(masked, sigma_y, mask=mask)
+    if kind in ("gaussian-blur", "motion-blur"):
+        size, padding = int(spec["size"]), spec.get("padding", "reflect")
+        k = (gaussian_kernel(size, float(spec["sigma"])) if kind == "gaussian-blur"
+             else motion_kernel(size, spec.get("orientation", "horizontal")))
+        return MeasurementOperator(lambda x: conv2d(x, k, padding=padding), sigma_y)
     if kind == "downsample":
         f = int(spec["factor"])
         if f < 1:
             raise ValueError("factor must be >= 1")
         if shape and (shape[-2] % f or shape[-1] % f):
             raise ValueError(f"factor {f} does not divide grid {shape}")
-        return MeasurementOperator(kind, sigma_y, spec, factor=f)
-    if kind == "saturate":
-        c = float(spec.get("scale", 2.0))
-        if c <= 0.0:
-            raise ValueError("scale must be positive")
-        return MeasurementOperator(kind, sigma_y, spec, scale=c)
-    raise AssertionError("unreachable")
+        return MeasurementOperator(lambda x: downsample_mean(x, f), sigma_y)
+    # saturate, the one nonlinear kind
+    c = float(spec.get("scale", 2.0))
+    if c <= 0.0:
+        raise ValueError("scale must be positive")
+    return MeasurementOperator(lambda x: div(tanh(mul(x, c)), c), sigma_y, is_linear=False)
 
 
 def forward(op: MeasurementOperator, x: np.ndarray, rng) -> Measurement:
@@ -232,4 +189,4 @@ def forward(op: MeasurementOperator, x: np.ndarray, rng) -> Measurement:
         seed = int(rng)
         rng = np.random.default_rng(seed)
     y = clean + op.sigma_y * rng.standard_normal(clean.shape) if op.sigma_y > 0 else clean
-    return Measurement(y=y, operator_spec=dict(op.spec), sigma_y=op.sigma_y, seed=seed)
+    return Measurement(y=y, seed=seed)

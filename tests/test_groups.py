@@ -152,3 +152,38 @@ def test_traced_action_applies_same_permutation():
     x = np.random.default_rng(13).standard_normal(shape)
     traced = g.apply_domain(1, Tensor(x))
     np.testing.assert_array_equal(traced.data, g.apply_domain(1, x))
+
+
+def _perm_power(perm, g):
+    idx = np.arange(len(perm))
+    for _ in range(g):
+        idx = np.asarray(perm)[idx]
+    return idx
+
+
+# (spec, order, item shape, element g in closed form)
+CLOSED_FORMS = [
+    ({"group": "identity"}, 1, (5, 5), lambda x, g: x),
+    ({"group": "flip-h"}, 2, (5, 6), lambda x, g: np.flip(x, axis=-1) if g else x),
+    ({"group": "flip-v"}, 2, (5, 6), lambda x, g: np.flip(x, axis=-2) if g else x),
+    ({"group": "rot90"}, 4, (3, 5, 5), lambda x, g: np.rot90(x, k=g, axes=(-2, -1))),
+    ({"group": "cyclic-translate", "shift": 3, "length": 12}, 4, (2, 12),
+     lambda x, g: np.roll(x, 3 * g, axis=-1)),
+    ({"group": "cyclic-translate", "shift": -5, "length": 12}, 12, (12,),
+     lambda x, g: np.roll(x, -5 * g, axis=-1)),
+    ({"group": "cyclic-translate", "shift": 12, "length": 12}, 1, (12,), lambda x, g: x),
+    # cycles of lengths 3 and 2: order 6
+    ({"group": "permutation", "perm": [1, 2, 0, 4, 3]}, 6, (3, 5),
+     lambda x, g: x[..., _perm_power([1, 2, 0, 4, 3], g)]),
+]
+
+
+@pytest.mark.parametrize("spec,order,shape,closed_form", CLOSED_FORMS,
+                         ids=[str(spec) for spec, *_ in CLOSED_FORMS])
+def test_every_element_matches_its_closed_form(spec, order, shape, closed_form):
+    g = make_group(spec)
+    assert g.order == order
+    x = np.random.default_rng(14).standard_normal(shape)
+    for el in g.elements:
+        np.testing.assert_array_equal(g.apply_domain(el, x), closed_form(x, el), err_msg=f"{el}")
+        np.testing.assert_array_equal(g.apply_domain(el, Tensor(x)).data, closed_form(x, el))

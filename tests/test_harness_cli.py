@@ -107,14 +107,10 @@ BAD_VALUES = [
 def test_cli_rejects_bad_run_values(tmp_path, capsys, key, value, message):
     cfg = vector_config(tmp_path, "equi-dps")
     cfg["run"]["oracle"] = {"enabled": True}
-    *parents, leaf = key.split(".")
-    section = cfg
-    for name in parents:
-        section = section.setdefault(name, {})
-    section[leaf] = value
+    _set(cfg, key, value)
     with pytest.raises(ConfigError, match=message):
         validate_config(cfg)
-    command = "sweep" if parents == ["sweep"] else "run"
+    command = "sweep" if key.startswith("sweep.") else "run"
     assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
 
@@ -355,6 +351,14 @@ def grid_config(out_dir, algorithm):
     return cfg
 
 
+def _set(cfg, key, value):
+    """Set the dotted config key to value, adding missing sections."""
+    *parents, leaf = key.split(".")
+    for name in parents:
+        cfg = cfg.setdefault(name, {})
+    cfg[leaf] = value
+
+
 def _write_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -423,10 +427,37 @@ def test_cli_bad_operator_value_exits_2(tmp_path, capsys):
     del cfg["probe"]
     cfg["operator"]["keep_prob"] = 2.0
     path = _write_config(tmp_path, cfg)
-    assert main(["gen-data", "--config", path]) == 0
-    assert main(["run", "--config", path]) == 2
+    assert main(["gen-data", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "keep_prob" in err
+    assert not (tmp_path / "dataset.eqd").exists()
+
+
+BAD_BUILDS = [
+    (grid_config, "probe.action", {"group": "nope"}, "probe.action: unknown group 'nope'"),
+    (grid_config, "probe.action", {"group": "cyclic-translate", "shift": 1}, "'length'"),
+    (grid_config, "probe.action", {"group": "permutation", "perm": [0, 0, 1, 2]},
+     "not a permutation"),
+    (grid_config, "probe.action", {"group": "permutation", "perm": [1, 0]},
+     "permutation of length 2 on shape (8, 8)"),
+    (vector_config, "sweep", {"mask_size": [2]}, "sweep.mask_size 2: needs 2-D grid items"),
+    (grid_config, "operator", {"kind": "gaussian-blur", "size": 3, "sigma": 1.0,
+                               "padding": "nope"}, "padding mode must be one of"),
+    (grid_config, "operator", {"kind": "gaussian-blur", "size": 17, "sigma": 1.0,
+                               "padding": "reflect"}, "reflect padding wider than the source"),
+]
+
+
+@pytest.mark.parametrize("make_config,key,value,message", BAD_BUILDS,
+                         ids=[f"{k}={v!r}" for _, k, v, _ in BAD_BUILDS])
+def test_cli_group_action_or_operator_that_cannot_be_built_exits_2_at_gen_data(
+        tmp_path, capsys, make_config, key, value, message):
+    cfg = make_config(tmp_path, "equi-dps")
+    _set(cfg, key, value)
+    assert main(["gen-data", "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "dataset.eqd").exists()
 
 
 BAD_INPUTS = [
@@ -447,14 +478,10 @@ def test_cli_bad_data_prior_or_training_input_exits_2(tmp_path, capsys, command,
     if key.startswith("score_model.prior"):
         cfg["score_model"] = {"kind": "analytic-gmm",
                               "prior": json.loads(json.dumps(cfg["dataset"]["spec"]))}
-    *parents, leaf = key.split(".")
-    section = cfg
-    for name in parents:
-        section = section[name]
-    section[leaf] = value
+    _set(cfg, key, value)
     assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     # a bad probe map or training space is rejected before any training
     assert not (tmp_path / "denoiser.eqc").exists()
-    assert (tmp_path / "probe.eqc").exists() == (leaf == "lr")
+    assert (tmp_path / "probe.eqc").exists() == key.endswith(".lr")
