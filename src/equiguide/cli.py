@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, check_seeds, load_config
+from .config import ConfigError, check_models, check_seeds, load_config
 from .containers import ContainerError
 from .harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
 from .nn import TrainingDiverged
@@ -62,6 +62,7 @@ def main(argv=None) -> int:
                               "source": report["source"]}))
             return 0
         cfg = load_config(args.config)
+        check_models(cfg)
         if args.command == "gen-data":
             info = cmd_gen_data(cfg, out_dir=args.out)
             print(json.dumps(info))

@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import generate, prior_from_spec
-from .equi import PROBE_MAPS, EquiLossConfig
+from .equi import PROBE_MAPS, EquiLossConfig, _probe_from_autoencoder, equi_error, probe_autoencoder
 from .groups import make_group
 from .operators import MeasurementOperator, make_operator
 from .samplers import ALGORITHMS, SamplerConfig, step_indices
 from .schedule import NoiseSchedule, make_linear_schedule
 
-__all__ = ["ConfigError", "load_config", "validate_config", "check_seeds", "build_schedule",
-           "build_operator", "DEFAULT_SCHEDULE"]
+__all__ = ["ConfigError", "load_config", "validate_config", "check_models", "check_seeds",
+           "build_schedule", "build_operator", "needs_probe", "DEFAULT_SCHEDULE"]
 
 
 class ConfigError(ValueError):
@@ -46,14 +46,14 @@ _SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)} - {"seed", "record_state
 _EQUI_KEYS = {f.name for f in fields(EquiLossConfig)}
 _RUN_KEYS = {"n_images", "samples_per_image", "image_offset", "oracle", "psnr_peak"}
 _ORACLE_KEYS = {"enabled", "n_samples", "n_proj", "ring_radius"}
-_SWEEP_KEYS = {"lambda", "period", "steps", "mask_size", "k_split"}
+_SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
 _GROUP_KEYS = {"group", "shift", "length", "perm"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
+def _check_keys(section: dict, allowed: set | tuple, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -127,9 +127,6 @@ def build_operator(cfg: dict, grid_shape, mask_size=None) -> MeasurementOperator
     return op
 
 
-_SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
-
-
 def _sweep_cells(sweep: dict) -> list[dict]:
     """The cartesian product of the sweep's axes, one override mapping per cell."""
     axes = [(a, sweep[a]) for a in _SWEEP_AXES if a in sweep]
@@ -191,8 +188,14 @@ def validate_config(cfg: dict) -> dict:
             make_group(data_action).apply_domain(1, np.zeros(item_shape))
         if probe.get("latent_action"):
             _check_keys(probe["latent_action"], _GROUP_KEYS, "probe.latent_action")
-            with _building("probe.latent_action"):
-                make_group(data_action, probe["latent_action"])
+        if "train" in probe:
+            # the probe that train builds, with its paired action applied to a zero input
+            with _building("probe"):
+                ae = probe_autoencoder(item_shape, probe["train"], np.random.default_rng(0))
+                m = _probe_from_autoencoder(ae, data_action, probe["train"].get("f", "encoder"),
+                                            probe.get("latent_action"))
+                x = ae.latent_shape() if m.name == "decoder" else item_shape
+                equi_error(m, 1, np.zeros((1, *x)))
 
     if "operator" in cfg:
         _check_keys(cfg["operator"], _OPERATOR_KEYS, "operator")
@@ -202,7 +205,7 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(cfg["sampler"]["equi"], _EQUI_KEYS, "sampler.equi")
     cells = [{}]
     if "sweep" in cfg:
-        _check_keys(cfg["sweep"], _SWEEP_KEYS, "sweep")
+        _check_keys(cfg["sweep"], _SWEEP_AXES, "sweep")
         cells += _sweep_cells(cfg["sweep"])
     # every sampler config and operator that run or sweep will build, built the same way
     for cell in cells:
@@ -226,6 +229,27 @@ def validate_config(cfg: dict) -> dict:
 
     check_seeds(cfg["seeds"], "seeds")
     return cfg
+
+
+def needs_probe(algorithm: str) -> bool:
+    """The algorithm penalizes through a probe or samples in its autoencoder's latent space."""
+    alg = ALGORITHMS[algorithm]
+    return alg.regularized or alg.family in ("psld", "resample")
+
+
+def check_models(cfg: dict) -> None:
+    """Check that a validated cfg names the score model and probe its sampler needs.
+
+    validate_config leaves this out, so that a config of only a dataset, an
+    operator and a sampler (as perfbench's layer figures load) still loads;
+    the CLI checks it before any command writes a file.
+    """
+    sm = cfg.get("score_model", {"kind": "analytic-gmm"})
+    if sm["kind"] == "analytic-gmm" and "prior" not in sm:
+        raise ConfigError("score_model: the analytic-gmm score model (the default kind) needs a prior")
+    algorithm = cfg["sampler"].get("algorithm", "dps")
+    if needs_probe(algorithm) and not cfg.get("probe"):
+        raise ConfigError(f"sampler.algorithm '{algorithm}' needs a probe section")
 
 
 def load_config(path) -> dict:

@@ -158,5 +158,4 @@ def load_dataset(path) -> Dataset:
     if "items" not in tensors or "kind" not in manifest:
         raise ContainerError(f"{path} is not a dataset file")
     kind = manifest.pop("kind")
-    manifest.pop("names")
     return Dataset(kind=kind, items=tensors["items"], metadata=manifest)

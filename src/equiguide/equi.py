@@ -26,6 +26,7 @@ __all__ = [
     "equi_error",
     "equi_loss",
     "equicon_loss",
+    "probe_autoencoder",
     "train_autoencoder_augmented",
     "mpe_sweep",
     "save_probe",
@@ -137,6 +138,21 @@ def _probe_from_autoencoder(ae, data_action_spec: dict, f_kind: str,
     raise ValueError(f"f must be one of {PROBE_MAPS}, got {f_kind!r}")
 
 
+def probe_autoencoder(data_shape, cfg: dict, rng: np.random.Generator):
+    """The untrained autoencoder of a probe for items of data_shape.
+
+    Vectors get an MLP autoencoder and square grids a conv autoencoder; cfg
+    holds hidden and latent_dim (vectors) or channels and latent_channels (grids).
+    """
+    if len(data_shape) == 1:
+        return MlpAutoencoder(data_shape[0], list(cfg.get("hidden", [64, 64])),
+                              int(cfg.get("latent_dim", max(1, data_shape[0] // 2))), rng)
+    if len(data_shape) == 2 and data_shape[0] == data_shape[1]:
+        return ConvAutoencoder(data_shape[0], int(cfg.get("channels", 8)),
+                               int(cfg.get("latent_channels", 4)), rng)
+    raise ValueError(f"a probe autoencoder needs vectors or square grids, got shape {data_shape}")
+
+
 def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None = None) -> EquivariantFunction:
     """Reconstruction training with group-augmented batches.
 
@@ -144,8 +160,7 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     (uniform non-identity element). Returns a probe whose map is chosen by
     cfg["f"]; holds the underlying autoencoder in ``meta``.
 
-    The architecture follows the data shape: vectors get an MLP autoencoder,
-    square grids a conv autoencoder.
+    The autoencoder is ``probe_autoencoder``'s for the data shape.
     cfg keys: steps, batch_size, lr, seed, hidden, latent_dim (vectors),
     channels, latent_channels (grids), augment, f, latent_action.
     """
@@ -160,16 +175,7 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     steps = int(cfg.get("steps", 1500))
     batch = min(int(cfg.get("batch_size", 64)), len(items))
     augment = bool(cfg.get("augment", True))
-    if len(data_shape) == 1:
-        ae = MlpAutoencoder(data_shape[0], list(cfg.get("hidden", [64, 64])),
-                            int(cfg.get("latent_dim", max(1, data_shape[0] // 2))), rng)
-    elif len(data_shape) == 2:
-        if data_shape[0] != data_shape[1]:
-            raise ValueError("grid autoencoder expects square grids")
-        ae = ConvAutoencoder(data_shape[0], int(cfg.get("channels", 8)),
-                             int(cfg.get("latent_channels", 4)), rng)
-    else:
-        raise ValueError(f"unsupported data shape {data_shape}")
+    ae = probe_autoencoder(data_shape, cfg, rng)
 
     def batch_loss(params):
         x0 = items[rng.integers(0, len(items), size=batch)]
@@ -189,7 +195,6 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     meta = {
         "recon_mse": recon_mse,
         "data_var": data_var,
-        "recon_ok": bool(recon_mse <= 0.1 * data_var) if data_var > 0 else True,
         "augment": augment,
         "loss_history": history,
         "ae": ae,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (_SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_operator,
-                     build_schedule)
+                     build_schedule, needs_probe)
 from .datasets import Dataset, generate, load_dataset, prior_from_spec, ring_distance, save_dataset
 from .equi import load_probe, save_probe, train_autoencoder_augmented
 from .gmm import gmm_posterior_exact, sample_gmm
@@ -155,6 +155,8 @@ def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
 
 def _run_sampler(model, op, y, probe, scfg: SamplerConfig, n_chains: int) -> Trajectory:
     alg = ALGORITHMS[scfg.algorithm]
+    if needs_probe(scfg.algorithm) and probe is None:
+        raise ConfigError(f"algorithm '{scfg.algorithm}' needs a probe")
     m = probe if alg.regularized else None
     # DPS goes through this module's dps_sample/equi_dps_sample names, looked up
     # per call, so wrappers installed on them see every DPS call
@@ -166,7 +168,7 @@ def _run_sampler(model, op, y, probe, scfg: SamplerConfig, n_chains: int) -> Tra
         return equi_sitcom_sample(model, op, y, m, scfg, n_chains=n_chains)
     if alg.family not in ("psld", "resample"):
         raise ConfigError(f"algorithm '{scfg.algorithm}' does not condition on a measurement")
-    if probe is None or probe.meta.get("ae") is None:
+    if probe.meta.get("ae") is None:
         raise ConfigError(f"latent sampler '{scfg.algorithm}' needs an autoencoder probe")
     sample = equi_psld_sample if alg.family == "psld" else equi_resample_sample
     return sample(model, probe.meta["ae"], op, y, m, scfg, n_chains=n_chains)

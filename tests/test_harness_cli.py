@@ -176,6 +176,8 @@ def test_run_cell_chains_match_single_chain_calls():
     assert row["sample_hashes"] == expected
     assert max(r_vals) > 0.0
     assert row["score_evals"] == row["guidance_grads"] == 6 * cfg["sampler"]["steps"]
+    with pytest.raises(ConfigError, match="'equi-dps' needs a probe"):
+        harness.run_cell(cfg, model, None, items, seed=0)
 
 
 def _ring_cell(norm):
@@ -351,12 +353,18 @@ def grid_config(out_dir, algorithm):
     return cfg
 
 
+ABSENT = "<absent>"  # a _set value that removes the key
+
+
 def _set(cfg, key, value):
     """Set the dotted config key to value, adding missing sections."""
     *parents, leaf = key.split(".")
     for name in parents:
         cfg = cfg.setdefault(name, {})
-    cfg[leaf] = value
+    if value == ABSENT:
+        del cfg[leaf]
+    else:
+        cfg[leaf] = value
 
 
 def _write_config(tmp_path, cfg):
@@ -445,6 +453,10 @@ BAD_BUILDS = [
                                "padding": "nope"}, "padding mode must be one of"),
     (grid_config, "operator", {"kind": "gaussian-blur", "size": 17, "sigma": 1.0,
                                "padding": "reflect"}, "reflect padding wider than the source"),
+    (vector_config, "probe.latent_action", {"group": "permutation", "perm": [1, 0, 2]},
+     "probe: permutation of length 3 on shape (1, 2)"),
+    (lambda out_dir, _: vector_config(out_dir, "psld"), "probe", ABSENT,
+     "sampler.algorithm 'psld' needs a probe section"),
 ]
 
 
@@ -467,6 +479,10 @@ BAD_INPUTS = [
     ("train", "score_model.train.space", "latnet", "score_model.train.space"),
     ("train", "probe.train.f", "encodr", "probe.train.f"),
     ("train", "score_model.train.lr", 1e150, "TrainingDiverged"),
+    ("gen-data", "probe", ABSENT, "sampler.algorithm 'equi-dps' needs a probe section"),
+    ("gen-data", "score_model", ABSENT, "analytic-gmm score model (the default kind) needs a prior"),
+    ("gen-data", "score_model.prior", ABSENT,
+     "analytic-gmm score model (the default kind) needs a prior"),
 ]
 
 
