@@ -20,7 +20,7 @@ __all__ = [
     "NonFiniteValue",
     "backward",
     "check_gradient",
-    "add", "sub", "mul", "div", "neg", "matmul",
+    "add", "sub", "mul", "div", "matmul",
     "tsum", "tmean", "relu", "tanh", "square", "sqrt",
     "reshape", "permute_flat", "gather_flat",
     "pad2d", "crop2d", "conv2d", "conv2d_mc",
@@ -51,12 +51,6 @@ class NonFiniteValue(FloatingPointError):
     """An op produced NaN or Inf."""
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
     """n-dimensional float64 array, row-major, optionally on the gradient tape.
 
@@ -65,8 +59,6 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
-
-    __array_priority__ = 1000  # numpy defers mixed expressions to Tensor operators
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -117,35 +109,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- autodiff ------------------------------------------------------------
     def _accumulate(self, g: np.ndarray) -> None:
         # grad buffers are treated as read-only everywhere, so the first
@@ -154,9 +117,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad = self.grad + g
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _ensure_tensor(x) -> Tensor:
@@ -202,7 +162,6 @@ def backward(loss: Tensor) -> None:
         node._parents = ()
         if parents:  # interior node: gradient no longer needed
             node.grad = None if node is not loss else node.grad
-    # Restore leaf-only grads: interior nodes above already cleared; leaves keep theirs.
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -260,10 +219,6 @@ def _unary(x, op_name: str, fwd, bwd_rule) -> Tensor:
             tx._accumulate(bwd_rule(g, tx.data, out_data))
 
     return Tensor._wrap(out_data, (tx,), bwd, op_name)
-
-
-def neg(x) -> Tensor:
-    return _unary(x, "neg", np.negative, lambda g, x_, y: -g)
 
 
 def relu(x) -> Tensor:
@@ -574,7 +529,7 @@ def check_gradient(f, x, eps: float = 1e-2) -> float:
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    x0 = _as_array(x).copy()
+    x0 = np.array(x, dtype=np.float64)
     leaf = Tensor(x0, requires_grad=True)
     out = f(leaf)
     if out.size != 1:

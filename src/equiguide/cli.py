@@ -28,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Equivariance-regularized diffusion posterior sampling")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="experiment config JSON")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="experiment config JSON")
         sp.add_argument("--out", default=None, help="output directory override")
 
     sp = sub.add_parser("gen-data", help="generate train/test datasets")

@@ -16,6 +16,7 @@ import numpy as np
 from .datasets import generate, prior_from_spec
 from .equi import PROBE_MAPS, EquiLossConfig, _probe_from_autoencoder, equi_error, probe_autoencoder
 from .groups import make_group
+from .models import denoiser_net
 from .operators import MeasurementOperator, make_operator
 from .samplers import ALGORITHMS, SamplerConfig, step_indices
 from .schedule import NoiseSchedule, make_linear_schedule
@@ -44,7 +45,7 @@ _OPERATOR_KEYS = {"kind", "box", "shape", "keep_prob", "seed", "size", "sigma",
 # the seed comes from the run's seed list; recorded states are not a run output
 _SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)} - {"seed", "record_states"}
 _EQUI_KEYS = {f.name for f in fields(EquiLossConfig)}
-_RUN_KEYS = {"n_images", "samples_per_image", "image_offset", "oracle", "psnr_peak"}
+_RUN_KEYS = {"n_images", "samples_per_image", "oracle", "psnr_peak"}
 _ORACLE_KEYS = {"enabled", "n_samples", "n_proj", "ring_radius"}
 _SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
 _GROUP_KEYS = {"group", "shift", "length", "perm"}
@@ -72,11 +73,23 @@ def _building(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_counts(section: dict, keys: tuple[str, ...], where: str) -> None:
+def _check_counts(section: dict, keys: tuple[str, ...], where: str, least: int = 1) -> None:
     for key in keys:
-        n = section.get(key, 1)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"{where}.{key} must be an integer >= 1, got {n!r}")
+        n = section.get(key, least)
+        if isinstance(n, bool) or not isinstance(n, int) or n < least:
+            raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {n!r}")
+
+
+def _check_positive(section: dict, key: str, where: str) -> None:
+    v = section.get(key, 1.0)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
+        raise ConfigError(f"{where}.{key} must be a number > 0, got {v!r}")
+
+
+def _check_training(train: dict, where: str) -> None:
+    _check_counts(train, ("batch_size",), where)
+    _check_counts(train, ("steps", "seed"), where, least=0)
+    _check_positive(train, "lr", where)
 
 
 def check_seeds(seeds, where: str) -> list[int]:
@@ -153,6 +166,8 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(data, _DATASET_KEYS, "dataset")
     if "kind" not in data:
         raise ConfigError("dataset needs a 'kind'")
+    _check_counts(data, ("n", "test_n"), "dataset")
+    _check_counts(data, ("seed", "test_seed"), "dataset", least=0)
     with _building("dataset"):
         item_shape = generate(data["kind"], data.get("spec", {}), 0,
                               int(data.get("seed", 0))).items.shape[1:]
@@ -162,25 +177,14 @@ def validate_config(cfg: dict) -> dict:
     with _building("schedule"):
         T = build_schedule(cfg).T
 
-    if "score_model" in cfg:
-        sm = cfg["score_model"]
-        _check_keys(sm, _SCORE_KEYS, "score_model")
-        kind = sm.get("kind")
-        if kind not in ("analytic-gmm", "trained-denoiser"):
-            raise ConfigError(f"score_model.kind must be analytic-gmm or trained-denoiser, got {kind!r}")
-        if "prior" in sm:
-            with _building("score_model.prior"):
-                prior_from_spec(sm["prior"])
-        if "train" in sm:
-            _check_keys(sm["train"], _SCORE_TRAIN_KEYS, "score_model.train")
-            _check_choice(sm["train"], "space", ("pixel", "latent"), "score_model.train")
-
+    ae = None
     if "probe" in cfg:
         probe = cfg["probe"]
         _check_keys(probe, _PROBE_KEYS, "probe")
         if "train" in probe:
             _check_keys(probe["train"], _PROBE_TRAIN_KEYS, "probe.train")
             _check_choice(probe["train"], "f", PROBE_MAPS, "probe.train")
+            _check_training(probe["train"], "probe.train")
         # the group actions that train builds: the data action acts on the items
         data_action = probe.get("action", {"group": "flip-h"})
         _check_keys(data_action, _GROUP_KEYS, "probe.action")
@@ -196,6 +200,26 @@ def validate_config(cfg: dict) -> dict:
                                             probe.get("latent_action"))
                 x = ae.latent_shape() if m.name == "decoder" else item_shape
                 equi_error(m, 1, np.zeros((1, *x)))
+
+    if "score_model" in cfg:
+        sm = cfg["score_model"]
+        _check_keys(sm, _SCORE_KEYS, "score_model")
+        kind = sm.get("kind")
+        if kind not in ("analytic-gmm", "trained-denoiser"):
+            raise ConfigError(f"score_model.kind must be analytic-gmm or trained-denoiser, got {kind!r}")
+        if "prior" in sm:
+            with _building("score_model.prior"):
+                prior_from_spec(sm["prior"])
+        if "train" in sm:
+            _check_keys(sm["train"], _SCORE_TRAIN_KEYS, "score_model.train")
+            _check_choice(sm["train"], "space", ("pixel", "latent"), "score_model.train")
+            _check_training(sm["train"], "score_model.train")
+            # the net that train builds, for the items or the latents of the probe it trains
+            latent = sm["train"].get("space") == "latent"
+            if ae is not None or not latent:
+                with _building("score_model.train"):
+                    denoiser_net(ae.latent_shape() if latent else item_shape, sm["train"],
+                                 np.random.default_rng(0))
 
     if "operator" in cfg:
         _check_keys(cfg["operator"], _OPERATOR_KEYS, "operator")
@@ -220,9 +244,7 @@ def validate_config(cfg: dict) -> dict:
     if "run" in cfg:
         _check_keys(cfg["run"], _RUN_KEYS, "run")
         _check_counts(cfg["run"], ("n_images", "samples_per_image"), "run")
-        peak = cfg["run"].get("psnr_peak", 1.0)
-        if isinstance(peak, bool) or not isinstance(peak, (int, float)) or not peak > 0:
-            raise ConfigError(f"run.psnr_peak must be a number > 0, got {peak!r}")
+        _check_positive(cfg["run"], "psnr_peak", "run")
         if "oracle" in cfg["run"]:
             _check_keys(cfg["run"]["oracle"], _ORACLE_KEYS, "run.oracle")
             _check_counts(cfg["run"]["oracle"], ("n_samples", "n_proj"), "run.oracle")

@@ -198,7 +198,6 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
         "augment": augment,
         "loss_history": history,
         "ae": ae,
-        "train_cfg": {k: v for k, v in cfg.items() if k != "latent_action"},
         "data_action": dict(action.domain_spec),
         "latent_action": cfg.get("latent_action"),
     }
@@ -239,6 +238,7 @@ def save_probe(path, m: EquivariantFunction) -> None:
     if ae is None:
         raise ValueError("only autoencoder-backed probes can be saved")
     manifest = {"kind": "equivariant-probe", "f": m.name, "ae": ae.config(),
+                "loss_history": m.meta.get("loss_history", []),
                 **{k: m.meta.get(k) for k in _SAVED_META}}
     save_tensors(path, dict(ae.params), manifest=manifest)
 
@@ -249,6 +249,7 @@ def load_probe(path) -> EquivariantFunction:
         raise ContainerError(f"not a probe checkpoint: {manifest.get('kind')}")
     ae = build_net(manifest["ae"])
     ae.set_params(tensors)
-    meta = {"ae": ae, **{k: manifest.get(k) for k in _SAVED_META}}
+    meta = {"ae": ae, "loss_history": manifest.get("loss_history", []),
+            **{k: manifest.get(k) for k in _SAVED_META}}
     return _probe_from_autoencoder(ae, manifest["data_action"], manifest["f"],
                                    latent_action_spec=manifest.get("latent_action"), meta=meta)

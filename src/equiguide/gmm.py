@@ -156,9 +156,9 @@ def gmm_marginal_score_traced(prior: GMMPrior, x: Tensor, t: int, sched, _cache=
     return Tensor._wrap(-ubar.reshape(x.shape), (x,), bwd, "gmm_score")
 
 
-def gmm_marginal_score(prior: GMMPrior, x: np.ndarray, t: int, sched, _cache=None) -> np.ndarray:
+def gmm_marginal_score(prior: GMMPrior, x: np.ndarray, t: int, sched) -> np.ndarray:
     """Exact score of the noised mixture, plain arrays in and out."""
-    return gmm_marginal_score_traced(prior, Tensor(np.asarray(x, dtype=np.float64)), t, sched, _cache=_cache).data
+    return gmm_marginal_score_traced(prior, Tensor(np.asarray(x, dtype=np.float64)), t, sched).data
 
 
 def posterior_mean_x0(prior: GMMPrior, x_t: np.ndarray, t: int, sched) -> np.ndarray:
@@ -187,12 +187,9 @@ def posterior_mean_x0(prior: GMMPrior, x_t: np.ndarray, t: int, sched) -> np.nda
 
 @dataclass(frozen=True)
 class PosteriorOracle:
-    """Exact linear-Gaussian posterior of a GMM prior, with its provenance."""
+    """Exact linear-Gaussian posterior of a GMM prior."""
 
     posterior: GMMPrior
-    operator_matrix: np.ndarray
-    sigma_y: float
-    y: np.ndarray
 
 
 def gmm_posterior_exact(prior: GMMPrior, A, sigma_y: float, y: np.ndarray) -> PosteriorOracle:
@@ -244,4 +241,4 @@ def gmm_posterior_exact(prior: GMMPrior, A, sigma_y: float, y: np.ndarray) -> Po
     w = np.exp(log_w)
     w /= w.sum()
     post = GMMPrior(w, new_means, new_covs)
-    return PosteriorOracle(posterior=post, operator_matrix=M, sigma_y=sigma_y, y=yv)
+    return PosteriorOracle(posterior=post)

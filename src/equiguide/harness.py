@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import Tensor
 from .config import (_SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_operator,
                      build_schedule, needs_probe)
 from .datasets import Dataset, generate, load_dataset, prior_from_spec, ring_distance, save_dataset
@@ -113,8 +114,6 @@ def cmd_train(cfg: dict, out_dir=None) -> dict:
         if space == "latent":
             if probe is None:
                 raise ConfigError("latent-space training needs a trained probe in the same config")
-            from .autodiff import Tensor
-
             ae = probe.meta["ae"]
             lat = ae.encode(Tensor(items)).data
             items = lat.reshape(len(items), *ae.latent_shape())
@@ -195,7 +194,6 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     run_cfg = cfg.get("run", {})
     n_images = int(run_cfg.get("n_images", 1))
     k_samples = int(run_cfg.get("samples_per_image", 1))
-    offset = int(run_cfg.get("image_offset", 0))
     peak = float(run_cfg.get("psnr_peak", 1.0))
     mask_size = (overrides or {}).get("mask_size")
 
@@ -212,7 +210,7 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     chunk = k_samples if independent_chains(_sampler_config(cfg, 0, overrides)) else 1
 
     for i in range(n_images):
-        x_true = test_items[(offset + i) % len(test_items)]
+        x_true = test_items[i % len(test_items)]
         meas = forward(op, x_true, _measurement_seed(seed, i))
         samples = []
         for k in range(0, k_samples, chunk):
@@ -271,19 +269,19 @@ def run_summary_hash(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def cmd_run(cfg: dict, out_dir=None, seeds=None) -> dict:
-    """Run the configured sampler for every seed; write the hashed summary."""
+def _run_setup(cfg: dict, out_dir, seeds):
+    """What run and sweep share: out dir, seeds, test items, score model and probe."""
     out = _out_dir(cfg, out_dir)
     seeds = list(seeds if seeds is not None else cfg["seeds"])
-    sched = build_schedule(cfg)
     _, test_ds = _load_datasets(cfg, out)
-    model = _resolve_score_model(cfg, out, sched)
-    probe = _resolve_probe(cfg, out)
+    model = _resolve_score_model(cfg, out, build_schedule(cfg))
+    return out, seeds, test_ds.items, model, _resolve_probe(cfg, out)
 
-    rows = []
-    for seed in seeds:
-        row = run_cell(cfg, model, probe, test_ds.items, seed)
-        rows.append(row)
+
+def cmd_run(cfg: dict, out_dir=None, seeds=None) -> dict:
+    """Run the configured sampler for every seed; write the hashed summary."""
+    out, seeds, test_items, model, probe = _run_setup(cfg, out_dir, seeds)
+    rows = [run_cell(cfg, model, probe, test_items, seed) for seed in seeds]
 
     # where the outputs go is not part of what was run
     deterministic = {
@@ -303,18 +301,13 @@ def cmd_run(cfg: dict, out_dir=None, seeds=None) -> dict:
 
 def cmd_sweep(cfg: dict, out_dir=None, seeds=None) -> Path:
     """Cartesian sweep over the configured axes; one CSV row per cell x seed."""
-    out = _out_dir(cfg, out_dir)
-    seeds = list(seeds if seeds is not None else cfg["seeds"])
-    sched = build_schedule(cfg)
-    _, test_ds = _load_datasets(cfg, out)
-    model = _resolve_score_model(cfg, out, sched)
-    probe = _resolve_probe(cfg, out)
+    out, seeds, test_items, model, probe = _run_setup(cfg, out_dir, seeds)
     cells = _sweep_cells(cfg.get("sweep", {}))
 
     rows = []
     for cell in cells:
         for seed in seeds:
-            row = run_cell(cfg, model, probe, test_ds.items, seed, overrides=cell)
+            row = run_cell(cfg, model, probe, test_items, seed, overrides=cell)
             row.pop("sample_hashes")
             for a in _SWEEP_AXES:
                 row[a] = json.dumps(cell[a]) if a in cell else ""

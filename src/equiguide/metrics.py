@@ -35,13 +35,12 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
     return float(10.0 * np.log10(peak * peak / mse))
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
-    """Global-statistics structural similarity (single window over the image)."""
+def ssim(x: np.ndarray, ref: np.ndarray) -> float:
+    """Global-statistics structural similarity (single window) of data in [0, 1]."""
     x, ref = np.asarray(x, dtype=np.float64), np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {ref.shape}")
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
+    c1, c2 = 0.01**2, 0.03**2
     mx, my = x.mean(), ref.mean()
     vx, vy = x.var(), ref.var()
     cov = float(np.mean((x - mx) * (ref - my)))

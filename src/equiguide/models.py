@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, div, mul, reshape, square, tmean
+from .autodiff import Tensor, add, div, mul, reshape, square, sub, tmean
 from .containers import ContainerError, load_tensors, save_tensors
 from .gmm import GMMPrior, _score_cache, gmm_marginal_score_traced
 from .nn import ConvNet, Mlp, TrainingDiverged, build_net, fit, training_items
@@ -22,6 +22,7 @@ __all__ = [
     "TrainingDiverged",
     "tweedie_x0",
     "tweedie_x0_traced",
+    "denoiser_net",
     "train_denoiser",
     "save_score_model",
     "load_score_model",
@@ -99,28 +100,30 @@ def tweedie_x0(x_t, t: int, model):
     return tweedie_x0_traced(Tensor(np.asarray(x_t, dtype=np.float64)), t, model).data
 
 
-def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> DenoiserScore:
-    """Denoising score-matching training of a small epsilon net.
+def denoiser_net(data_shape, cfg: dict, rng: np.random.Generator):
+    """The untrained epsilon net for items of data_shape: an MLP for vectors, else a conv net."""
+    if len(data_shape) == 1:
+        return Mlp(data_shape[0], list(cfg.get("hidden", [128, 128, 128])), data_shape[0], rng,
+                   cond_dim=8)
+    if len(data_shape) in (2, 3):
+        channels = data_shape[0] if len(data_shape) == 3 else 1
+        return ConvNet(channels, int(cfg.get("width", 32)), rng, cond_dim=8)
+    raise ValueError(f"expected vector, grid or (C, h, w) data, got shape {tuple(data_shape)}")
 
-    Vectors get an MLP (3x128 hidden by default); 2-D grids and (C, h, w)
-    latents a 4-layer conv net with 1 or C channels.
+
+def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> DenoiserScore:
+    """Denoising score-matching training of ``denoiser_net``'s net for the data shape.
+
     cfg keys: steps, batch_size, lr, seed, hidden, width.
     """
     cfg = dict(cfg or {})
     items = training_items(dataset)
     data_shape = items.shape[1:]
-    if len(data_shape) not in (1, 2, 3):
-        raise ValueError(f"expected vector, grid or (C, h, w) data, got shape {data_shape}")
 
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     steps = int(cfg.get("steps", 2000))
     batch = min(int(cfg.get("batch_size", 64)), len(items))
-    if len(data_shape) == 1:
-        net = Mlp(data_shape[0], list(cfg.get("hidden", [128, 128, 128])), data_shape[0], rng,
-                  cond_dim=8)
-    else:
-        channels = data_shape[0] if len(data_shape) == 3 else 1
-        net = ConvNet(channels, int(cfg.get("width", 32)), rng, cond_dim=8)
+    net = denoiser_net(data_shape, cfg, rng)
     model = DenoiserScore(net, sched, data_shape)
 
     def batch_loss(params):
@@ -130,7 +133,7 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
         eps = rng.standard_normal(x0.shape)
         x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
         cond = np.stack([time_features(int(t), sched) for t in ts])
-        return tmean(square(model.eps(Tensor(x_t), cond, params=params) - Tensor(eps)))
+        return tmean(square(sub(model.eps(Tensor(x_t), cond, params=params), eps)))
 
     model.loss_history = fit(net, batch_loss, steps, float(cfg.get("lr", 1e-3)))
     model.trained = steps > 0
@@ -144,6 +147,7 @@ def save_score_model(path, model: DenoiserScore) -> None:
         "data_shape": list(model.data_shape),
         "schedule": model.schedule.to_config(),
         "trained": model.trained,
+        "loss_history": model.loss_history,
     }
     save_tensors(path, dict(model.net.params), manifest=manifest)
 
@@ -155,4 +159,5 @@ def load_score_model(path) -> DenoiserScore:
     net = build_net(manifest["net"])
     net.set_params({k: tensors[k] for k in net.params})
     sched = NoiseSchedule.from_config(manifest["schedule"])
-    return DenoiserScore(net, sched, tuple(manifest["data_shape"]), trained=manifest["trained"])
+    return DenoiserScore(net, sched, tuple(manifest["data_shape"]), trained=manifest["trained"],
+                         loss_history=manifest.get("loss_history", []))

@@ -70,6 +70,8 @@ def _wrap_params(params: dict[str, np.ndarray], trainable: bool) -> dict[str, Te
 
 
 def _he(rng, fan_in, shape):
+    if fan_in < 1:
+        raise ValueError(f"a layer of shape {shape} has no inputs; every width must be >= 1")
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
@@ -126,26 +128,23 @@ class Mlp(Net):
 
 
 class ConvNet(Net):
-    """4-layer same-size conv stack with per-layer additive time conditioning."""
+    """4-layer same-size 3x3 conv stack with per-layer additive time conditioning."""
 
     arch = "conv"
-    _args = ("channels", "width", "cond_dim", "n_layers", "ksize")
+    _args = ("channels", "width", "cond_dim")
+    _LAST = 3  # index of the output layer
 
-    def __init__(self, channels: int, width: int, rng: np.random.Generator,
-                 cond_dim: int = 8, n_layers: int = 4, ksize: int = 3):
+    def __init__(self, channels: int, width: int, rng: np.random.Generator, cond_dim: int = 8):
         self.channels = channels
         self.width = width
         self.cond_dim = cond_dim
-        self.n_layers = n_layers
-        self.ksize = ksize
         self.params: dict[str, np.ndarray] = {}
         cin = channels
-        for i in range(n_layers):
-            cout = channels if i == n_layers - 1 else width
-            fan = cin * ksize * ksize
-            self.params[f"K{i}"] = _he(rng, fan, (cout, cin, ksize, ksize))
+        for i in range(self._LAST + 1):
+            cout = channels if i == self._LAST else width
+            self.params[f"K{i}"] = _he(rng, cin * 9, (cout, cin, 3, 3))
             self.params[f"b{i}"] = np.zeros(cout)
-            if cond_dim and i < n_layers - 1:
+            if cond_dim and i < self._LAST:
                 self.params[f"U{i}"] = _he(rng, cond_dim, (cond_dim, cout))
             cin = cout
 
@@ -154,16 +153,16 @@ class ConvNet(Net):
         p = params if params is not None else _wrap_params(self.params, False)
         batched = x.data.ndim == 4
         h = x
-        for i in range(self.n_layers):
+        for i in range(self._LAST + 1):
             h = conv2d_mc(h, p[f"K{i}"])
             b = p[f"b{i}"]
             cout = b.shape[0]
             h = add(h, reshape(b, (cout, 1, 1)))
-            if self.cond_dim and i < self.n_layers - 1:
+            if self.cond_dim and i < self._LAST:
                 emb = matmul(Tensor(cond), p[f"U{i}"])
                 shp = (emb.shape[0], cout, 1, 1) if batched else (cout, 1, 1)
                 h = add(h, reshape(emb, shp))
-            if i < self.n_layers - 1:
+            if i < self._LAST:
                 h = relu(h)
         return h
 
@@ -221,10 +220,9 @@ class ConvAutoencoder(Net):
     """
 
     arch = "conv-ae"
-    _args = ("grid", "channels", "latent_channels", "ksize")
+    _args = ("grid", "channels", "latent_channels")
 
-    def __init__(self, grid: int, channels: int, latent_channels: int, rng: np.random.Generator,
-                 ksize: int = 3):
+    def __init__(self, grid: int, channels: int, latent_channels: int, rng: np.random.Generator):
         if grid % 4 != 0:
             raise ValueError("grid must be divisible by 4")
         lat_dim = latent_channels * (grid // 4) ** 2
@@ -233,15 +231,13 @@ class ConvAutoencoder(Net):
         self.grid = grid
         self.channels = channels
         self.latent_channels = latent_channels
-        self.ksize = ksize
         self.params: dict[str, np.ndarray] = {}
-        k = ksize
         specs = {
             "eK0": (channels, 1), "eK1": (channels, channels), "eK2": (latent_channels, channels),
             "dK0": (channels, latent_channels), "dK1": (channels, channels), "dK2": (1, channels),
         }
         for name, (cout, cin) in specs.items():
-            self.params[name] = _he(rng, cin * k * k, (cout, cin, k, k))
+            self.params[name] = _he(rng, cin * 9, (cout, cin, 3, 3))
             self.params[name.replace("K", "b")] = np.zeros(cout)
 
     def encode(self, x: Tensor, params=None) -> Tensor:
@@ -282,12 +278,18 @@ _ARCHS = {cls.arch: cls for cls in (Mlp, ConvNet, MlpAutoencoder, ConvAutoencode
 
 
 def build_net(config: dict) -> Net:
-    """A fresh net of ``config()``'s architecture; its parameters come from ``set_params``."""
+    """A fresh net of ``config()``'s architecture; its parameters come from ``set_params``.
+
+    A config that its class cannot take (an older or edited checkpoint) is a ContainerError.
+    """
     args = dict(config)
     cls = _ARCHS.get(args.pop("arch", None))
     if cls is None:
         raise ContainerError(f"unknown network arch {config.get('arch')!r}")
-    return cls(rng=np.random.default_rng(0), **args)
+    try:
+        return cls(rng=np.random.default_rng(0), **args)
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"network config {config!r} does not build: {exc}") from exc
 
 
 def training_items(dataset) -> np.ndarray:

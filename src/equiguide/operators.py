@@ -39,20 +39,14 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def motion_kernel(length: int, orientation: str = "horizontal") -> np.ndarray:
-    """1-D box kernel embedded in a length x length grid."""
+    """1-D horizontal or vertical box kernel embedded in a length x length grid."""
     if length % 2 == 0:
         raise ValueError("kernel size must be odd")
-    k = np.zeros((length, length))
-    c = length // 2
-    if orientation == "horizontal":
-        k[c, :] = 1.0
-    elif orientation == "vertical":
-        k[:, c] = 1.0
-    elif orientation == "diagonal":
-        np.fill_diagonal(k, 1.0)
-    else:
+    if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"unknown orientation '{orientation}'")
-    return k / k.sum()
+    k = np.zeros((length, length))
+    k[length // 2, :] = 1.0 / length
+    return k if orientation == "horizontal" else k.T
 
 
 @dataclass
@@ -112,7 +106,7 @@ class Measurement:
     """Observed data with the noise seed that produced it."""
 
     y: np.ndarray
-    seed: int | None
+    seed: int
 
 
 def make_operator(spec: dict, grid_shape: tuple[int, ...] | None = None) -> MeasurementOperator:
@@ -180,13 +174,9 @@ def make_operator(spec: dict, grid_shape: tuple[int, ...] | None = None) -> Meas
     return MeasurementOperator(lambda x: div(tanh(mul(x, c)), c), sigma_y, is_linear=False)
 
 
-def forward(op: MeasurementOperator, x: np.ndarray, rng) -> Measurement:
-    """y = A(x) + sigma_y * noise, with the noise seed recorded when known."""
-    x = np.asarray(x, dtype=np.float64)
-    clean = op.apply(x)
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
-    y = clean + op.sigma_y * rng.standard_normal(clean.shape) if op.sigma_y > 0 else clean
-    return Measurement(y=y, seed=seed)
+def forward(op: MeasurementOperator, x: np.ndarray, seed: int) -> Measurement:
+    """y = A(x) + sigma_y * noise, the noise drawn from ``default_rng(seed)``."""
+    y = op.apply(np.asarray(x, dtype=np.float64))
+    if op.sigma_y > 0:
+        y = y + op.sigma_y * np.random.default_rng(seed).standard_normal(y.shape)
+    return Measurement(y=y, seed=int(seed))

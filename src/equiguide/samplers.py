@@ -46,6 +46,7 @@ import numpy as np
 from .autodiff import (
     NonFiniteValue,
     Tensor,
+    add,
     backward,
     matmul,
     mul,
@@ -106,6 +107,9 @@ class SamplerError(RuntimeError):
     pass
 
 
+_CLOSENESS = 1e-2  # SITCOM stage 1's weight on ||v - x_t||^2, the pull toward the step's start
+
+
 @dataclass
 class SamplerConfig:
     algorithm: str = "dps"
@@ -119,7 +123,6 @@ class SamplerConfig:
     k_meas: int = 10
     k_equi: int = 0
     inner_lr: float = 5e-2
-    closeness_weight: float = 1e-2
     equi: EquiLossConfig = field(default_factory=EquiLossConfig)
     seed: int = 0
     resample_steps: object = "all"  # "all" | list of step positions
@@ -134,8 +137,6 @@ class SamplerConfig:
             raise ValueError("guidance weights must be >= 0")
         if self.k_meas < 0 or self.k_equi < 0:
             raise ValueError("inner step counts must be >= 0")
-        if isinstance(self.equi, dict):
-            self.equi = EquiLossConfig(**self.equi)
 
 
 @dataclass
@@ -151,10 +152,6 @@ class Trajectory:
     final: np.ndarray
     counts: dict
     states: list | None = None
-
-    def assert_finite(self):
-        if not np.all(np.isfinite(self.final)):
-            raise SamplerError("trajectory final state is not finite")
 
 
 def independent_chains(cfg: SamplerConfig) -> bool:
@@ -267,10 +264,8 @@ def _chain(model, cfg: SamplerConfig, shape, step, counts: dict, final=None) -> 
         records.append(StepRecord(t=t, meas_loss=float(meas), equi_loss=float(reg)))
         if states is not None:
             states.append(x.copy())
-    traj = Trajectory(records=records, final=x if final is None else final(x, x0),
+    return Trajectory(records=records, final=x if final is None else final(x, x0),
                       counts=counts, states=states)
-    traj.assert_finite()
-    return traj
 
 
 # -- unconditional samplers -------------------------------------------------------
@@ -333,7 +328,7 @@ def equi_dps_sample(model, op: MeasurementOperator, y: np.ndarray,
             counts["guidance_grads"] += 1
             if plan[i]:
                 r = equi_loss(m, x0t, m.action.random_element(equi_rng), cfg.equi)
-                total = total + mul(r, cfg.equi.lam)
+                total = add(total, mul(r, cfg.equi.lam))
                 r_val = r.data.item()
                 counts["equi_grads"] += 1
             grad = _grad(total, leaf, t)
@@ -353,9 +348,9 @@ def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
     """Two-stage per-step refinement: measurement consistency, then equivariance.
 
     Stage 1 runs adaptive-moment descent on ||A(tweedie(v)) - y||^2 plus a
-    closeness pull toward the step's initial state, stopping when the residual
-    falls under delta^2. Stage 2 refines the same variable on the probe's
-    equivariance gap. The refined state is re-noised to the next time.
+    closeness pull toward the step's initial state (weight ``_CLOSENESS``),
+    stopping when the residual falls under delta^2. Stage 2 refines the same
+    variable on the probe's equivariance gap. The refined state is re-noised to the next time.
     ``m=None`` is plain SITCOM. Batched chains share the stopping decision, so
     use a small delta when comparing batched arms.
     """
@@ -383,7 +378,7 @@ def equi_sitcom_sample(model, op: MeasurementOperator, y: np.ndarray,
         def meas(leaf):
             resid = norm_sq(sub(op.apply(tweedie_x0_traced(leaf, t, model)), y))
             counts["score_evals"] += 1
-            return resid.item(), resid + mul(norm_sq(sub(leaf, x)), cfg.closeness_weight)
+            return resid.item(), add(resid, mul(norm_sq(sub(leaf, x)), _CLOSENESS))
 
         v, meas_val = descend(x.copy(), t, cfg.k_meas, meas, ("guidance_grads", "inner_meas_steps"))
         r_val = 0.0
@@ -441,13 +436,13 @@ def equi_psld_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
             dz = ae.decode(z0t)
             meas = norm_sq(sub(y, op.apply(dz)))
             atadz = reshape(matmul(reshape(op.apply(dz), (n_chains, -1)), M), dz.shape)
-            glue = norm_sq(sub(z0t, ae.encode(Tensor(aty) + dz - atadz)))
+            glue = norm_sq(sub(z0t, ae.encode(sub(add(aty, dz), atadz))))
             counts["guidance_grads"] += 1
-            total = mul(meas, cfg.eta_psld) + mul(glue, cfg.gamma_psld)
+            total = add(mul(meas, cfg.eta_psld), mul(glue, cfg.gamma_psld))
             if plan[i]:
                 r = reg_loss(m, z0t, m.action.random_element(equi_rng), cfg.equi)
                 r_val = r.data.item()
-                total = total + mul(r, cfg.equi.lam)
+                total = add(total, mul(r, cfg.equi.lam))
                 counts["equi_grads"] += 1
             grad = _grad(total, leaf, t)
         return _ancestral_step(sched, t, s, z, z0t.data, noise) - grad, z0t.data, meas.item(), r_val
@@ -508,7 +503,7 @@ def equi_resample_sample(model, ae, op: MeasurementOperator, y: np.ndarray,
                 if event_reg[i]:
                     r = reg_loss(m, leaf, g_el, cfg.equi)
                     r_val = r.data.item()
-                    total = total + mul(r, cfg.equi.lam)
+                    total = add(total, mul(r, cfg.equi.lam))
                     counts["equi_grads"] += 1
                 tot_val = total.item()
                 if initial is None:

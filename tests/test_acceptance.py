@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from equiguide.autodiff import Tensor, check_gradient, matmul, mul, norm_sq, reshape, sub
+from equiguide.autodiff import add, check_gradient, matmul, mul, norm_sq, reshape, sub
 from equiguide.config import validate_config
 from equiguide.datasets import gen_sym_shapes_grid, ring_distance
 from equiguide.equi import (
@@ -99,11 +99,11 @@ def test_a1_gradient_correctness():
             z0t = tweedie_x0_traced(z, t, lat_model)
             dz = ae.decode(z0t)
             atadz = reshape(matmul(reshape(op.apply(dz), (-1,)), M), dz.shape)
-            return norm_sq(sub(z0t, ae.encode(Tensor(aty) + dz - atadz)))
+            return norm_sq(sub(z0t, ae.encode(sub(add(aty, dz), atadz))))
 
         def sitcom_stage1(v):
             est = tweedie_x0_traced(v, t, model)
-            return norm_sq(sub(op.apply(est), y)) + mul(norm_sq(sub(v, x_anchor)), 0.01)
+            return add(norm_sq(sub(op.apply(est), y)), mul(norm_sq(sub(v, x_anchor)), 0.01))
 
         def sitcom_stage2(v):
             return equi_loss(probe, v, 1)
@@ -460,7 +460,7 @@ def test_a11_sitcom_split(grid_denoiser, grid_probe, shapes_test):
         inner = 0
         for seed in (9, 10, 11):
             cfg = SamplerConfig(algorithm="equi-sitcom", steps=50, seed=seed, k_meas=km,
-                                k_equi=ke, inner_lr=0.05, delta=1e-6, closeness_weight=0.01,
+                                k_equi=ke, inner_lr=0.05, delta=1e-6,
                                 equi=EquiLossConfig(lam=1.0, norm="l2"))
             traj = equi_sitcom_sample(grid_denoiser, op, y, grid_probe if ke else None,
                                       cfg, n_chains=len(images))

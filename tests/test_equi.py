@@ -3,6 +3,7 @@ import pytest
 
 from equiguide import equi
 from equiguide.autodiff import Tensor, check_gradient, mul, square, tanh
+from equiguide.containers import load_tensors, save_tensors
 from equiguide.equi import (
     EquiLossConfig,
     EquivariantFunction,
@@ -199,3 +200,10 @@ def test_probe_checkpoint_roundtrip(tmp_path):
     back = load_probe(path)
     x = rng.standard_normal(4)
     assert equi_error(probe, 1, x) == equi_error(back, 1, x)
+    history = probe.meta["loss_history"]
+    assert len(history) == 50 and back.meta["loss_history"] == history
+    # a checkpoint written without a history reads back an empty one
+    tensors, manifest = load_tensors(path)
+    del manifest["loss_history"]
+    save_tensors(path, tensors, manifest=manifest)
+    assert load_probe(path).meta["loss_history"] == []

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -8,13 +9,13 @@ from equiguide import harness
 from equiguide.autodiff import Tensor, matmul
 from equiguide.cli import main
 from equiguide.config import ConfigError, load_config, validate_config
-from equiguide.equi import EquivariantFunction
+from equiguide.equi import EquiLossConfig, EquivariantFunction
 from equiguide.gmm import GMMPrior, sample_gmm
 from equiguide.groups import make_group
 from equiguide.harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
 from equiguide.models import AnalyticGmmScore
 from equiguide.operators import forward
-from equiguide.samplers import ALGORITHMS, equi_dps_sample
+from equiguide.samplers import ALGORITHMS, equi_dps_sample, expected_reg_count
 
 
 def small_config(out_dir, algorithm="equi-dps", lam=0.05):
@@ -47,13 +48,15 @@ def test_validate_rejects_unknown_keys(tmp_path):
     cfg["extras"] = {}
     with pytest.raises(ConfigError):
         validate_config(cfg)
-    # sampler options that no longer exist
+    # sampler and run options that no longer exist
     for section, key, value in [("sampler", "guidance_norm", "plain"),
                                 ("sampler", "detach_regularizer", True),
                                 ("sampler", "ddim_eta", 0.5),
+                                ("sampler", "closeness_weight", 0.01),
+                                ("run", "image_offset", 1),
                                 ("equi", "element_policy", "fixed")]:
         cfg = small_config(tmp_path)
-        where = cfg["sampler"] if section == "sampler" else cfg["sampler"]["equi"]
+        where = cfg["sampler"]["equi"] if section == "equi" else cfg[section]
         where[key] = value
         with pytest.raises(ConfigError):
             validate_config(cfg)
@@ -249,10 +252,8 @@ def test_sweep_lambda_zero_cell_matches_baseline(tmp_path):
     cmd_gen_data(cfg)
     cmd_train(cfg)
     path = cmd_sweep(cfg)
-    import csv as _csv
-
     with open(path) as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # 2 cells x 2 seeds
     # the lambda = 0 cells equal a baseline dps run's metrics exactly
     base_cfg = validate_config(small_config(tmp_path, algorithm="dps", lam=0.0))
@@ -483,6 +484,16 @@ BAD_INPUTS = [
     ("gen-data", "score_model", ABSENT, "analytic-gmm score model (the default kind) needs a prior"),
     ("gen-data", "score_model.prior", ABSENT,
      "analytic-gmm score model (the default kind) needs a prior"),
+    ("gen-data", "score_model.train.hidden", 5, "score_model.train: 'int' object is not iterable"),
+    ("gen-data", "score_model.train.hidden", [0], "every width must be >= 1"),
+    ("gen-data", "probe.train.latent_dim", 0, "every width must be >= 1"),
+    ("gen-data", "score_model.train.steps", "abc", "score_model.train.steps must be an integer >= 0"),
+    ("gen-data", "score_model.train.batch_size", 0,
+     "score_model.train.batch_size must be an integer >= 1"),
+    ("gen-data", "probe.train.steps", "abc", "probe.train.steps must be an integer >= 0"),
+    ("gen-data", "probe.train.lr", "x", "probe.train.lr must be a number > 0"),
+    ("gen-data", "dataset.n", "many", "dataset.n must be an integer >= 1"),
+    ("gen-data", "dataset.n", -5, "dataset.n must be an integer >= 1"),
 ]
 
 
@@ -498,6 +509,40 @@ def test_cli_bad_data_prior_or_training_input_exits_2(tmp_path, capsys, command,
     assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
-    # a bad probe map or training space is rejected before any training
+    # every input but the diverging learning rate is rejected before any file is written
     assert not (tmp_path / "denoiser.eqc").exists()
-    assert (tmp_path / "probe.eqc").exists() == key.endswith(".lr")
+    diverged = message == "TrainingDiverged"
+    assert (tmp_path / "probe.eqc").exists() == (tmp_path / "dataset.eqd").exists() == diverged
+
+
+def test_cli_run_reports_the_oracle_metrics(tmp_path, capsys):
+    cfg = vector_config(tmp_path, "dps")
+    cfg["score_model"] = {"kind": "analytic-gmm", "prior": cfg["dataset"]["spec"]}
+    del cfg["probe"]
+    cfg["run"]["oracle"] = {"enabled": True, "n_samples": 64, "n_proj": 16, "ring_radius": 1.0}
+    path = _write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0
+    row = json.loads((tmp_path / "run_summary.json").read_text())["payload"]["results"][0]
+    assert row["sw2"] > 0.0 and row["manifold_dist"] > 0.0
+
+
+def test_cli_sweep_over_period_and_mask_size(tmp_path, capsys):
+    cfg = grid_config(tmp_path, "equi-dps")
+    cfg["sweep"] = {"period": [1, 2], "mask_size": [2, 4]}
+    path = _write_config(tmp_path, cfg)
+    assert main(["gen-data", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    assert main(["sweep", "--config", path]) == 0
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted((r["period"], r["mask_size"]) for r in rows) == [
+        ("1", "2"), ("1", "4"), ("2", "2"), ("2", "4")]
+    steps, chains = cfg["sampler"]["steps"], cfg["run"]["samples_per_image"]
+    for r in rows:
+        equi = EquiLossConfig(**{**cfg["sampler"]["equi"], "period": int(r["period"])})
+        assert int(r["equi_grads"]) == chains * expected_reg_count(steps, equi)
+    # the mask size changes the measurement, so the two sizes of one period differ
+    for p in ("1", "2"):
+        assert len({r["psnr"] for r in rows if r["period"] == p}) == 2
+    assert main(["report", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equiguide.autodiff import Tensor, backward, tsum
+from equiguide.containers import load_tensors, save_tensors
 from equiguide.gmm import GMMPrior, posterior_mean_x0, sample_gmm
 from equiguide.models import (
     AnalyticGmmScore,
@@ -163,3 +164,9 @@ def test_checkpoint_roundtrip(tmp_path):
     x = np.random.default_rng(9).standard_normal((5, 2))
     np.testing.assert_array_equal(model.score(x, 20), back.score(x, 20))
     assert back.trained
+    assert len(model.loss_history) == 40 and back.loss_history == model.loss_history
+    # a checkpoint written without a history reads back an empty one
+    tensors, manifest = load_tensors(path)
+    del manifest["loss_history"]
+    save_tensors(path, tensors, manifest=manifest)
+    assert load_score_model(path).loss_history == []

@@ -19,9 +19,9 @@ from equiguide.nn import (
 # non-default constructor arguments, so a rebuild that dropped one would show
 NETS = {
     "mlp": lambda rng: Mlp(3, [5, 4], 3, rng, cond_dim=2, activation="tanh"),
-    "conv": lambda rng: ConvNet(2, 5, rng, cond_dim=3, n_layers=3, ksize=5),
+    "conv": lambda rng: ConvNet(2, 5, rng, cond_dim=3),
     "mlp-ae": lambda rng: MlpAutoencoder(6, [5, 4], 2, rng),
-    "conv-ae": lambda rng: ConvAutoencoder(8, 3, 2, rng, ksize=5),
+    "conv-ae": lambda rng: ConvAutoencoder(8, 3, 2, rng),
 }
 
 
@@ -53,6 +53,16 @@ def test_build_net_from_config_restores_the_net(arch):
 def test_build_net_rejects_an_unknown_arch():
     with pytest.raises(ContainerError, match="unknown network arch"):
         build_net({"arch": "rnn", "in_dim": 3})
+
+
+@pytest.mark.parametrize("config", [
+    {**ConvNet(1, 4, np.random.default_rng(0)).config(), "n_layers": 4, "ksize": 3},  # older
+    {"arch": "conv-ae", "grid": 8, "channels": 3},
+    {"arch": "mlp-ae", "in_dim": 2, "hidden": [4], "latent_dim": 2},
+])
+def test_build_net_rejects_a_config_its_class_cannot_take(config):
+    with pytest.raises(ContainerError, match="does not build"):
+        build_net(config)
 
 
 def _output_energy():
