@@ -1,7 +1,11 @@
 """Experiment configuration: JSON schema validation and normalization.
 
-Unknown keys are rejected everywhere so a typo cannot silently change an
-experiment. A validated config plus a seed list fully determines every output.
+The schema is one dict per section mapping each key to its default: DATASET,
+SCHEDULE, SCORE_MODEL, PROBE, SAMPLER, EQUI, RUN and ORACLE here,
+models.DENOISER_TRAINING (score_model.train) and equi.PROBE_TRAINING
+(probe.train). ``settings`` reads every section through its dict, so a typo
+or a value of the wrong type cannot silently change an experiment. A
+validated config plus a seed list fully determines every output.
 """
 
 from __future__ import annotations
@@ -14,44 +18,50 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import generate, prior_from_spec
-from .equi import PROBE_MAPS, EquiLossConfig, _probe_from_autoencoder, equi_error, probe_autoencoder
+from .equi import (PROBE_MAPS, PROBE_TRAINING, EquiLossConfig, _probe_from_autoencoder, equi_error,
+                   probe_autoencoder)
 from .groups import make_group
-from .models import denoiser_net
+from .models import DENOISER_TRAINING, denoiser_net
 from .operators import MeasurementOperator, make_operator
 from .samplers import ALGORITHMS, SamplerConfig, step_indices
 from .schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = ["ConfigError", "load_config", "validate_config", "check_models", "check_seeds",
-           "build_schedule", "build_operator", "needs_probe", "DEFAULT_SCHEDULE"]
+           "settings", "build_schedule", "build_operator", "needs_probe", "DATASET", "SCHEDULE",
+           "SCORE_MODEL", "PROBE", "SAMPLER", "EQUI", "RUN", "ORACLE"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULT_SCHEDULE = {"T": 1000, "beta_min": 1e-4, "beta_max": 0.02}
+# A None default means the key is absent; a test_seed left out is seed + 10000.
+DATASET = {"kind": None, "spec": {}, "n": 256, "seed": 0, "test_n": 64, "test_seed": None}
+SCHEDULE = {"T": 1000, "beta_min": 1e-4, "beta_max": 0.02}
+SCORE_MODEL = {"kind": "analytic-gmm", "prior": None, "checkpoint": None, "train": None}
+PROBE = {"checkpoint": None, "train": None, "action": {"group": "flip-h"}, "latent_action": None}
+# the seed comes from the run's seed list; recorded states are not a run output
+SAMPLER = {**{f.name: f.default for f in fields(SamplerConfig)
+              if f.name not in ("seed", "record_states")}, "equi": {}}
+EQUI = {f.name: f.default for f in fields(EquiLossConfig)}
+RUN = {"n_images": 1, "samples_per_image": 1, "oracle": {}, "psnr_peak": 1.0}
+ORACLE = {"enabled": False, "n_samples": 256, "n_proj": 64, "ring_radius": None}
 
 _TOP_KEYS = {"dataset", "schedule", "score_model", "probe", "operator", "sampler",
              "run", "sweep", "seeds", "out_dir"}
-_DATASET_KEYS = {"kind", "spec", "n", "seed", "test_n", "test_seed"}
-_SCHEDULE_KEYS = {"T", "beta_min", "beta_max"}
-_SCORE_KEYS = {"kind", "prior", "checkpoint", "train"}
-_SCORE_TRAIN_KEYS = {"steps", "batch_size", "lr", "seed", "hidden", "width", "space"}
-_PROBE_KEYS = {"checkpoint", "train", "action", "latent_action"}
-_PROBE_TRAIN_KEYS = {"steps", "batch_size", "lr", "seed", "hidden", "latent_dim",
-                     "channels", "latent_channels", "augment", "f"}
 _OPERATOR_KEYS = {"kind", "box", "shape", "keep_prob", "seed", "size", "sigma",
                   "orientation", "factor", "scale", "padding", "sigma_y"}
-# the seed comes from the run's seed list; recorded states are not a run output
-_SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)} - {"seed", "record_states"}
-_EQUI_KEYS = {f.name for f in fields(EquiLossConfig)}
-_RUN_KEYS = {"n_images", "samples_per_image", "oracle", "psnr_peak"}
-_ORACLE_KEYS = {"enabled", "n_samples", "n_proj", "ring_radius"}
 _SWEEP_AXES = ("lambda", "period", "steps", "mask_size", "k_split")
 _GROUP_KEYS = {"group", "shift", "length", "perm"}
 
+_ABSENT_TYPES = {"test_seed": int, "latent_dim": int, "ring_radius": float}
+_COUNTS = {"n", "test_n", "T", "batch_size", "n_images", "samples_per_image", "n_samples", "n_proj"}
+_POSITIVE = {"lr", "psnr_peak", "beta_min", "beta_max", "ring_radius"}
+_CHOICES = {"score_model.kind": ("analytic-gmm", "trained-denoiser"),
+            "score_model.train.space": ("pixel", "latent"), "probe.train.f": PROBE_MAPS}
 
-def _check_keys(section: dict, allowed: set | tuple, where: str) -> None:
+
+def _check_keys(section: dict, allowed: set | tuple | dict, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - set(allowed)
@@ -59,9 +69,33 @@ def _check_keys(section: dict, allowed: set | tuple, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _check_choice(section: dict, key: str, choices: tuple, where: str) -> None:
-    if key in section and section[key] not in choices:
-        raise ConfigError(f"{where}.{key} must be one of {choices}, got {section[key]!r}")
+def settings(section, defaults: dict, where: str) -> dict:
+    """The config section merged over its defaults, after checking each key it gives.
+
+    A bool default takes true/false, an int default an integer >= 0 (>= 1 in
+    _COUNTS), a float default a number >= 0 (> 0 in _POSITIVE) and a key in
+    _CHOICES one of its values; _ABSENT_TYPES types keys absent by default.
+    Lists, objects and names may not be null; the code that builds them checks them.
+    """
+    _check_keys(section, defaults, where)
+    for key, v in section.items():
+        name, kind = f"{where}.{key}", _ABSENT_TYPES.get(key, type(defaults[key]))
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if name in _CHOICES:
+            ok, rule = v in _CHOICES[name], f"be one of {_CHOICES[name]}"
+        elif kind is bool:
+            ok, rule = isinstance(v, bool), "be true or false"
+        elif kind is int:
+            least = int(key in _COUNTS)
+            ok, rule = number and isinstance(v, int) and v >= least, f"be an integer >= {least}"
+        elif kind is float:
+            sign = ">" if key in _POSITIVE else ">="
+            ok, rule = number and (v > 0 if sign == ">" else v >= 0), f"be a number {sign} 0"
+        else:
+            ok, rule = v is not None, "not be null"
+        if not ok:
+            raise ConfigError(f"{name} must {rule}, got {v!r}")
+    return {**defaults, **section}
 
 
 @contextmanager
@@ -73,25 +107,6 @@ def _building(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_counts(section: dict, keys: tuple[str, ...], where: str, least: int = 1) -> None:
-    for key in keys:
-        n = section.get(key, least)
-        if isinstance(n, bool) or not isinstance(n, int) or n < least:
-            raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {n!r}")
-
-
-def _check_positive(section: dict, key: str, where: str) -> None:
-    v = section.get(key, 1.0)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-        raise ConfigError(f"{where}.{key} must be a number > 0, got {v!r}")
-
-
-def _check_training(train: dict, where: str) -> None:
-    _check_counts(train, ("batch_size",), where)
-    _check_counts(train, ("steps", "seed"), where, least=0)
-    _check_positive(train, "lr", where)
-
-
 def check_seeds(seeds, where: str) -> list[int]:
     if not isinstance(seeds, list) or not seeds or not all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
@@ -100,8 +115,9 @@ def check_seeds(seeds, where: str) -> list[int]:
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
-    sc = {**DEFAULT_SCHEDULE, **cfg.get("schedule", {})}
-    return make_linear_schedule(int(sc["T"]), float(sc["beta_min"]), float(sc["beta_max"]))
+    sc = settings(cfg.get("schedule", {}), SCHEDULE, "schedule")
+    with _building("schedule"):
+        return make_linear_schedule(sc["T"], sc["beta_min"], sc["beta_max"])
 
 
 def _sampler_config(cfg: dict, seed: int, overrides: dict | None = None) -> SamplerConfig:
@@ -162,71 +178,50 @@ def validate_config(cfg: dict) -> dict:
         if required not in cfg:
             raise ConfigError(f"config missing required section '{required}'")
 
-    data = cfg["dataset"]
-    _check_keys(data, _DATASET_KEYS, "dataset")
-    if "kind" not in data:
+    data = settings(cfg["dataset"], DATASET, "dataset")
+    if data["kind"] is None:
         raise ConfigError("dataset needs a 'kind'")
-    _check_counts(data, ("n", "test_n"), "dataset")
-    _check_counts(data, ("seed", "test_seed"), "dataset", least=0)
     with _building("dataset"):
-        item_shape = generate(data["kind"], data.get("spec", {}), 0,
-                              int(data.get("seed", 0))).items.shape[1:]
+        item_shape = generate(data["kind"], data["spec"], 0, data["seed"]).items.shape[1:]
 
-    if "schedule" in cfg:
-        _check_keys(cfg["schedule"], _SCHEDULE_KEYS, "schedule")
-    with _building("schedule"):
-        T = build_schedule(cfg).T
+    T = build_schedule(cfg).T
 
     ae = None
     if "probe" in cfg:
-        probe = cfg["probe"]
-        _check_keys(probe, _PROBE_KEYS, "probe")
-        if "train" in probe:
-            _check_keys(probe["train"], _PROBE_TRAIN_KEYS, "probe.train")
-            _check_choice(probe["train"], "f", PROBE_MAPS, "probe.train")
-            _check_training(probe["train"], "probe.train")
+        probe = settings(cfg["probe"], PROBE, "probe")
         # the group actions that train builds: the data action acts on the items
-        data_action = probe.get("action", {"group": "flip-h"})
-        _check_keys(data_action, _GROUP_KEYS, "probe.action")
+        _check_keys(probe["action"], _GROUP_KEYS, "probe.action")
         with _building("probe.action"):
-            make_group(data_action).apply_domain(1, np.zeros(item_shape))
-        if probe.get("latent_action"):
+            make_group(probe["action"]).apply_domain(1, np.zeros(item_shape))
+        if probe["latent_action"]:
             _check_keys(probe["latent_action"], _GROUP_KEYS, "probe.latent_action")
-        if "train" in probe:
+        if probe["train"] is not None:
+            train = settings(probe["train"], PROBE_TRAINING, "probe.train")
             # the probe that train builds, with its paired action applied to a zero input
             with _building("probe"):
-                ae = probe_autoencoder(item_shape, probe["train"], np.random.default_rng(0))
-                m = _probe_from_autoencoder(ae, data_action, probe["train"].get("f", "encoder"),
-                                            probe.get("latent_action"))
+                ae = probe_autoencoder(item_shape, train, np.random.default_rng(0))
+                m = _probe_from_autoencoder(ae, probe["action"], train["f"], probe["latent_action"])
                 x = ae.latent_shape() if m.name == "decoder" else item_shape
                 equi_error(m, 1, np.zeros((1, *x)))
 
     if "score_model" in cfg:
-        sm = cfg["score_model"]
-        _check_keys(sm, _SCORE_KEYS, "score_model")
-        kind = sm.get("kind")
-        if kind not in ("analytic-gmm", "trained-denoiser"):
-            raise ConfigError(f"score_model.kind must be analytic-gmm or trained-denoiser, got {kind!r}")
-        if "prior" in sm:
+        sm = settings(cfg["score_model"], SCORE_MODEL, "score_model")
+        if sm["prior"] is not None:
             with _building("score_model.prior"):
                 prior_from_spec(sm["prior"])
-        if "train" in sm:
-            _check_keys(sm["train"], _SCORE_TRAIN_KEYS, "score_model.train")
-            _check_choice(sm["train"], "space", ("pixel", "latent"), "score_model.train")
-            _check_training(sm["train"], "score_model.train")
+        if sm["train"] is not None:
+            train = settings(sm["train"], DENOISER_TRAINING, "score_model.train")
             # the net that train builds, for the items or the latents of the probe it trains
-            latent = sm["train"].get("space") == "latent"
+            latent = train["space"] == "latent"
             if ae is not None or not latent:
                 with _building("score_model.train"):
-                    denoiser_net(ae.latent_shape() if latent else item_shape, sm["train"],
+                    denoiser_net(ae.latent_shape() if latent else item_shape, train,
                                  np.random.default_rng(0))
 
     if "operator" in cfg:
         _check_keys(cfg["operator"], _OPERATOR_KEYS, "operator")
 
-    _check_keys(cfg["sampler"], _SAMPLER_KEYS, "sampler")
-    if "equi" in cfg["sampler"]:
-        _check_keys(cfg["sampler"]["equi"], _EQUI_KEYS, "sampler.equi")
+    settings(settings(cfg["sampler"], SAMPLER, "sampler")["equi"], EQUI, "sampler.equi")
     cells = [{}]
     if "sweep" in cfg:
         _check_keys(cfg["sweep"], _SWEEP_AXES, "sweep")
@@ -241,13 +236,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"sampler.algorithm '{sampler.algorithm}' draws unconditional samples; "
                           "run and sweep need a measurement-conditioned algorithm")
 
-    if "run" in cfg:
-        _check_keys(cfg["run"], _RUN_KEYS, "run")
-        _check_counts(cfg["run"], ("n_images", "samples_per_image"), "run")
-        _check_positive(cfg["run"], "psnr_peak", "run")
-        if "oracle" in cfg["run"]:
-            _check_keys(cfg["run"]["oracle"], _ORACLE_KEYS, "run.oracle")
-            _check_counts(cfg["run"]["oracle"], ("n_samples", "n_proj"), "run.oracle")
+    settings(settings(cfg.get("run", {}), RUN, "run")["oracle"], ORACLE, "run.oracle")
 
     check_seeds(cfg["seeds"], "seeds")
     return cfg
@@ -262,16 +251,25 @@ def needs_probe(algorithm: str) -> bool:
 def check_models(cfg: dict) -> None:
     """Check that a validated cfg names the score model and probe its sampler needs.
 
-    validate_config leaves this out, so that a config of only a dataset, an
-    operator and a sampler (as perfbench's layer figures load) still loads;
-    the CLI checks it before any command writes a file.
+    The score model must live in the space of the sampler's variable, unless it
+    is only a checkpoint. validate_config leaves this out, so that a config of
+    only a dataset, an operator and a sampler (as perfbench's layer figures
+    load) still loads; the CLI checks it before any command writes a file.
     """
-    sm = cfg.get("score_model", {"kind": "analytic-gmm"})
-    if sm["kind"] == "analytic-gmm" and "prior" not in sm:
+    sm = settings(cfg.get("score_model", {}), SCORE_MODEL, "score_model")
+    if sm["kind"] == "analytic-gmm" and sm["prior"] is None:
         raise ConfigError("score_model: the analytic-gmm score model (the default kind) needs a prior")
-    algorithm = cfg["sampler"].get("algorithm", "dps")
+    algorithm = settings(cfg["sampler"], SAMPLER, "sampler")["algorithm"]
     if needs_probe(algorithm) and not cfg.get("probe"):
         raise ConfigError(f"sampler.algorithm '{algorithm}' needs a probe section")
+    space = "pixel" if sm["kind"] == "analytic-gmm" else None
+    if space is None and sm["train"] is not None:
+        space = settings(sm["train"], DENOISER_TRAINING, "score_model.train")["space"]
+        if space == "latent" and settings(cfg.get("probe", {}), PROBE, "probe")["train"] is None:
+            raise ConfigError("latent-space training needs a trained probe in the same config")
+    needed = "latent" if ALGORITHMS[algorithm].family in ("psld", "resample") else "pixel"
+    if space not in (None, needed):
+        raise ConfigError(f"sampler.algorithm '{algorithm}' needs a {needed}-space score model")
 
 
 def load_config(path) -> dict:

@@ -21,6 +21,7 @@ from .nn import ConvAutoencoder, MlpAutoencoder, build_net, fit, training_items
 
 __all__ = [
     "PROBE_MAPS",
+    "PROBE_TRAINING",
     "EquiLossConfig",
     "EquivariantFunction",
     "equi_error",
@@ -119,6 +120,10 @@ def equicon_loss(m: EquivariantFunction, z0t: Tensor, g: int, cfg: EquiLossConfi
 # -- probe construction ----------------------------------------------------------
 
 PROBE_MAPS = ("encoder", "decoder", "autoencoder")  # what a probe's f can be
+# probe.train's keys and defaults; latent_dim is half the item size when absent
+PROBE_TRAINING = {"steps": 1500, "batch_size": 64, "lr": 1e-3, "seed": 0, "hidden": [64, 64],
+                  "latent_dim": None, "channels": 8, "latent_channels": 4, "augment": True,
+                  "f": "encoder"}
 _SAVED_META = ("data_action", "latent_action", "recon_mse", "data_var", "augment")
 
 
@@ -141,52 +146,49 @@ def _probe_from_autoencoder(ae, data_action_spec: dict, f_kind: str,
 def probe_autoencoder(data_shape, cfg: dict, rng: np.random.Generator):
     """The untrained autoencoder of a probe for items of data_shape.
 
-    Vectors get an MLP autoencoder and square grids a conv autoencoder; cfg
-    holds hidden and latent_dim (vectors) or channels and latent_channels (grids).
+    Vectors get an MLP autoencoder and square grids a conv autoencoder, sized
+    by a ``PROBE_TRAINING`` cfg.
     """
     if len(data_shape) == 1:
-        return MlpAutoencoder(data_shape[0], list(cfg.get("hidden", [64, 64])),
-                              int(cfg.get("latent_dim", max(1, data_shape[0] // 2))), rng)
+        latent_dim = max(1, data_shape[0] // 2) if cfg["latent_dim"] is None else cfg["latent_dim"]
+        return MlpAutoencoder(data_shape[0], list(cfg["hidden"]), latent_dim, rng)
     if len(data_shape) == 2 and data_shape[0] == data_shape[1]:
-        return ConvAutoencoder(data_shape[0], int(cfg.get("channels", 8)),
-                               int(cfg.get("latent_channels", 4)), rng)
+        return ConvAutoencoder(data_shape[0], cfg["channels"], cfg["latent_channels"], rng)
     raise ValueError(f"a probe autoencoder needs vectors or square grids, got shape {data_shape}")
 
 
-def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None = None) -> EquivariantFunction:
+def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None = None,
+                                latent_action: dict | None = None) -> EquivariantFunction:
     """Reconstruction training with group-augmented batches.
 
     Each batch element is replaced by a transformed copy with probability 1/2
     (uniform non-identity element). Returns a probe whose map is chosen by
-    cfg["f"]; holds the underlying autoencoder in ``meta``.
+    cfg["f"], with latent_action (else action's spec) on the latents; holds
+    the underlying autoencoder in ``meta``.
 
     The autoencoder is ``probe_autoencoder``'s for the data shape.
-    cfg keys: steps, batch_size, lr, seed, hidden, latent_dim (vectors),
-    channels, latent_channels (grids), augment, f, latent_action.
+    cfg overrides ``PROBE_TRAINING``.
     """
-    cfg = dict(cfg or {})
-    f_kind = cfg.get("f", "encoder")
-    if f_kind not in PROBE_MAPS:
-        raise ValueError(f"f must be one of {PROBE_MAPS}, got {f_kind!r}")
+    cfg = {**PROBE_TRAINING, **(cfg or {})}
+    if cfg["f"] not in PROBE_MAPS:
+        raise ValueError(f"f must be one of {PROBE_MAPS}, got {cfg['f']!r}")
     items = training_items(dataset)
     data_shape = items.shape[1:]
 
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    steps = int(cfg.get("steps", 1500))
-    batch = min(int(cfg.get("batch_size", 64)), len(items))
-    augment = bool(cfg.get("augment", True))
+    rng = np.random.default_rng(cfg["seed"])
+    batch = min(cfg["batch_size"], len(items))
     ae = probe_autoencoder(data_shape, cfg, rng)
 
     def batch_loss(params):
         x0 = items[rng.integers(0, len(items), size=batch)]
-        if augment and action.order > 1:
+        if cfg["augment"] and action.order > 1:
             for b in range(batch):
                 if rng.random() >= 0.5:
                     x0[b] = action.apply_domain(action.random_element(rng), x0[b])
         xin = Tensor(x0)
         return tmean(square(sub(ae.decode(ae.encode(xin, params=params), params=params), xin)))
 
-    history = fit(ae, batch_loss, steps, float(cfg.get("lr", 1e-3)))
+    history = fit(ae, batch_loss, cfg["steps"], cfg["lr"])
 
     # held-out style reconstruction check on the training distribution
     xs = items[:min(256, len(items))]
@@ -195,13 +197,13 @@ def train_autoencoder_augmented(dataset, action: GroupAction, cfg: dict | None =
     meta = {
         "recon_mse": recon_mse,
         "data_var": data_var,
-        "augment": augment,
+        "augment": cfg["augment"],
         "loss_history": history,
         "ae": ae,
         "data_action": dict(action.domain_spec),
-        "latent_action": cfg.get("latent_action"),
+        "latent_action": latent_action,
     }
-    return _probe_from_autoencoder(ae, meta["data_action"], f_kind,
+    return _probe_from_autoencoder(ae, meta["data_action"], cfg["f"],
                                    latent_action_spec=meta["latent_action"], meta=meta)
 
 

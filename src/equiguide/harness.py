@@ -17,14 +17,16 @@ import numpy as np
 
 from . import __version__
 from .autodiff import Tensor
-from .config import (_SWEEP_AXES, ConfigError, _sampler_config, _sweep_cells, build_operator,
-                     build_schedule, needs_probe)
+from .config import (_SWEEP_AXES, DATASET, ORACLE, PROBE, RUN, SCORE_MODEL, ConfigError,
+                     _sampler_config, _sweep_cells, build_operator, build_schedule, needs_probe,
+                     settings)
 from .datasets import Dataset, generate, load_dataset, prior_from_spec, ring_distance, save_dataset
 from .equi import load_probe, save_probe, train_autoencoder_augmented
 from .gmm import gmm_posterior_exact, sample_gmm
 from .groups import make_group
 from .metrics import diversity, psnr, sliced_wasserstein, ssim
 from .models import (
+    DENOISER_TRAINING,
     AnalyticGmmScore,
     load_score_model,
     save_score_model,
@@ -69,10 +71,10 @@ def _dataset_paths(out: Path) -> tuple[Path, Path]:
 def cmd_gen_data(cfg: dict, out_dir=None) -> dict:
     """Generate the train and held-out datasets declared in the config."""
     out = _out_dir(cfg, out_dir)
-    d = cfg["dataset"]
-    train = generate(d["kind"], d.get("spec", {}), int(d.get("n", 256)), int(d.get("seed", 0)))
-    test = generate(d["kind"], d.get("spec", {}), int(d.get("test_n", 64)),
-                    int(d.get("test_seed", d.get("seed", 0) + 10_000)))
+    d = settings(cfg["dataset"], DATASET, "dataset")
+    train = generate(d["kind"], d["spec"], d["n"], d["seed"])
+    test_seed = d["seed"] + 10_000 if d["test_seed"] is None else d["test_seed"]
+    test = generate(d["kind"], d["spec"], d["test_n"], test_seed)
     train_path, test_path = _dataset_paths(out)
     save_dataset(train_path, train)
     save_dataset(test_path, test)
@@ -95,23 +97,19 @@ def cmd_train(cfg: dict, out_dir=None) -> dict:
     written = {}
 
     probe = None
-    probe_cfg = cfg.get("probe", {})
-    if "train" in probe_cfg:
-        action = make_group(probe_cfg.get("action", {"group": "flip-h"}))
-        tr = dict(probe_cfg["train"])
-        if probe_cfg.get("latent_action"):
-            tr["latent_action"] = probe_cfg["latent_action"]
-        probe = train_autoencoder_augmented(train_ds.items, action, tr)
+    pc = settings(cfg.get("probe", {}), PROBE, "probe")
+    if pc["train"] is not None:
+        probe = train_autoencoder_augmented(train_ds.items, make_group(pc["action"]), pc["train"],
+                                            pc["latent_action"])
         path = out / "probe.eqc"
         save_probe(path, probe)
         written["probe"] = str(path)
 
-    sm = cfg.get("score_model", {})
-    if sm.get("kind") == "trained-denoiser" and "train" in sm:
-        tr = dict(sm["train"])
-        space = tr.pop("space", "pixel")
+    sm = settings(cfg.get("score_model", {}), SCORE_MODEL, "score_model")
+    if sm["kind"] == "trained-denoiser" and sm["train"] is not None:
+        tr = settings(sm["train"], DENOISER_TRAINING, "score_model.train")
         items = train_ds.items
-        if space == "latent":
+        if tr["space"] == "latent":
             if probe is None:
                 raise ConfigError("latent-space training needs a trained probe in the same config")
             ae = probe.meta["ae"]
@@ -126,7 +124,7 @@ def cmd_train(cfg: dict, out_dir=None) -> dict:
 
 def _checkpoint_path(section: dict, out: Path, name: str, what: str) -> Path:
     """The section's checkpoint (or its file name under out), else out/name."""
-    path = Path(section["checkpoint"]) if "checkpoint" in section else out / name
+    path = out / name if section["checkpoint"] is None else Path(section["checkpoint"])
     if not path.is_absolute():
         path = out / path.name if not path.exists() else path
     if not path.exists():
@@ -135,20 +133,16 @@ def _checkpoint_path(section: dict, out: Path, name: str, what: str) -> Path:
 
 
 def _resolve_probe(cfg: dict, out: Path):
-    pc = cfg.get("probe")
-    if not pc:
+    if not cfg.get("probe"):
         return None
+    pc = settings(cfg["probe"], PROBE, "probe")
     return load_probe(_checkpoint_path(pc, out, "probe.eqc", "probe"))
 
 
 def _resolve_score_model(cfg: dict, out: Path, sched: NoiseSchedule):
-    sm = cfg.get("score_model", {})
-    kind = sm.get("kind", "analytic-gmm")
-    if kind == "analytic-gmm":
-        prior_spec = sm.get("prior")
-        if prior_spec is None:
-            raise ConfigError("analytic-gmm score model needs a prior")
-        return AnalyticGmmScore(prior_from_spec(prior_spec), sched)
+    sm = settings(cfg.get("score_model", {}), SCORE_MODEL, "score_model")
+    if sm["kind"] == "analytic-gmm":
+        return AnalyticGmmScore(prior_from_spec(sm["prior"]), sched)
     return load_score_model(_checkpoint_path(sm, out, "denoiser.eqc", "denoiser"))
 
 
@@ -191,10 +185,9 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     by ``_chain_seed(seed, i, k)``, because a batched call would couple its
     chains through the joint norm or the shared ``delta`` stop.
     """
-    run_cfg = cfg.get("run", {})
-    n_images = int(run_cfg.get("n_images", 1))
-    k_samples = int(run_cfg.get("samples_per_image", 1))
-    peak = float(run_cfg.get("psnr_peak", 1.0))
+    run_cfg = settings(cfg.get("run", {}), RUN, "run")
+    oracle_cfg = settings(run_cfg["oracle"], ORACLE, "run.oracle")
+    n_images, k_samples = run_cfg["n_images"], run_cfg["samples_per_image"]
     mask_size = (overrides or {}).get("mask_size")
 
     grid_shape = test_items.shape[1:]
@@ -206,7 +199,6 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
     sw2s, manifold_dists = [], []
     counts_total: dict[str, int] = {}
     sample_hashes = []
-    oracle_cfg = run_cfg.get("oracle", {})
     chunk = k_samples if independent_chains(_sampler_config(cfg, 0, overrides)) else 1
 
     for i in range(n_images):
@@ -221,7 +213,7 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
             for key, v in traj.counts.items():
                 counts_total[key] = counts_total.get(key, 0) + chunk * v
         for s in samples:
-            psnrs.append(psnr(s, x_true, peak=peak))
+            psnrs.append(psnr(s, x_true, peak=run_cfg["psnr_peak"]))
             if is_grid:
                 ssims.append(ssim(s, x_true))
             sample_hashes.append(hashlib.sha256(np.ascontiguousarray(s).tobytes()).hexdigest())
@@ -229,18 +221,15 @@ def run_cell(cfg: dict, model, probe, test_items: np.ndarray, seed: int,
             intra, pix = diversity(samples)
             intras.append(intra)
             pixstds.append(pix)
-        if oracle_cfg.get("enabled") and hasattr(model, "prior") and op.is_linear:
+        if oracle_cfg["enabled"] and hasattr(model, "prior") and op.is_linear:
             oracle = gmm_posterior_exact(model.prior, op, op.sigma_y, meas.y)
-            n_oracle = int(oracle_cfg.get("n_samples", 256))
-            ref = sample_gmm(oracle.posterior, n_oracle,
+            ref = sample_gmm(oracle.posterior, oracle_cfg["n_samples"],
                              np.random.default_rng(_chain_seed(seed, i, 7001)))
-            sw2s.append(sliced_wasserstein(samples, ref, n_proj=int(oracle_cfg.get("n_proj", 64)),
+            sw2s.append(sliced_wasserstein(samples, ref, n_proj=oracle_cfg["n_proj"],
                                            rng=np.random.default_rng(_chain_seed(seed, i, 7002))))
-            radius = oracle_cfg.get("ring_radius")
+            radius = oracle_cfg["ring_radius"]
             if radius is not None:
-                manifold_dists.append(
-                    float(np.mean([ring_distance(s, float(radius)) for s in samples]))
-                )
+                manifold_dists.append(float(np.mean([ring_distance(s, radius) for s in samples])))
 
     row = {
         "seed": seed,

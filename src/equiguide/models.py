@@ -22,6 +22,7 @@ __all__ = [
     "TrainingDiverged",
     "tweedie_x0",
     "tweedie_x0_traced",
+    "DENOISER_TRAINING",
     "denoiser_net",
     "train_denoiser",
     "save_score_model",
@@ -100,29 +101,32 @@ def tweedie_x0(x_t, t: int, model):
     return tweedie_x0_traced(Tensor(np.asarray(x_t, dtype=np.float64)), t, model).data
 
 
+# score_model.train's keys and defaults; space "latent" trains on the probe's latents
+DENOISER_TRAINING = {"steps": 2000, "batch_size": 64, "lr": 1e-3, "seed": 0,
+                     "hidden": [128, 128, 128], "width": 32, "space": "pixel"}
+
+
 def denoiser_net(data_shape, cfg: dict, rng: np.random.Generator):
-    """The untrained epsilon net for items of data_shape: an MLP for vectors, else a conv net."""
+    """The untrained epsilon net for items of data_shape, sized by a ``DENOISER_TRAINING`` cfg."""
     if len(data_shape) == 1:
-        return Mlp(data_shape[0], list(cfg.get("hidden", [128, 128, 128])), data_shape[0], rng,
-                   cond_dim=8)
+        return Mlp(data_shape[0], list(cfg["hidden"]), data_shape[0], rng, cond_dim=8)
     if len(data_shape) in (2, 3):
         channels = data_shape[0] if len(data_shape) == 3 else 1
-        return ConvNet(channels, int(cfg.get("width", 32)), rng, cond_dim=8)
+        return ConvNet(channels, cfg["width"], rng, cond_dim=8)
     raise ValueError(f"expected vector, grid or (C, h, w) data, got shape {tuple(data_shape)}")
 
 
 def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> DenoiserScore:
     """Denoising score-matching training of ``denoiser_net``'s net for the data shape.
 
-    cfg keys: steps, batch_size, lr, seed, hidden, width.
+    cfg overrides ``DENOISER_TRAINING``, whose space is the caller's concern.
     """
-    cfg = dict(cfg or {})
+    cfg = {**DENOISER_TRAINING, **(cfg or {})}
     items = training_items(dataset)
     data_shape = items.shape[1:]
 
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    steps = int(cfg.get("steps", 2000))
-    batch = min(int(cfg.get("batch_size", 64)), len(items))
+    rng = np.random.default_rng(cfg["seed"])
+    batch = min(cfg["batch_size"], len(items))
     net = denoiser_net(data_shape, cfg, rng)
     model = DenoiserScore(net, sched, data_shape)
 
@@ -135,8 +139,8 @@ def train_denoiser(dataset, sched: NoiseSchedule, cfg: dict | None = None) -> De
         cond = np.stack([time_features(int(t), sched) for t in ts])
         return tmean(square(sub(model.eps(Tensor(x_t), cond, params=params), eps)))
 
-    model.loss_history = fit(net, batch_loss, steps, float(cfg.get("lr", 1e-3)))
-    model.trained = steps > 0
+    model.loss_history = fit(net, batch_loss, cfg["steps"], cfg["lr"])
+    model.trained = cfg["steps"] > 0
     return model
 
 

@@ -305,7 +305,8 @@ def fit(net: Net, batch_loss, steps: int, lr: float) -> list[float]:
     """Adam on ``net``'s parameters for ``steps`` batches; returns the loss history.
 
     ``batch_loss(params)`` draws a batch and returns its scalar loss through
-    the gradient-tracked ``params``.
+    the gradient-tracked ``params``. A non-finite value, or a last loss above
+    1e3 times the first (a tanh net stays finite), is TrainingDiverged.
     """
     opt = Adam(lr)
     history: list[float] = []
@@ -322,4 +323,6 @@ def fit(net: Net, batch_loss, steps: int, lr: float) -> list[float]:
             _wrap_params(net.params, False)  # so is one left by the last update
     except FloatingPointError as exc:
         raise TrainingDiverged(f"training produced non-finite values: {exc}") from exc
+    if history and history[-1] > 1e3 * history[0]:
+        raise TrainingDiverged(f"the loss grew from {history[0]:.3g} to {history[-1]:.3g}")
     return history

@@ -137,6 +137,9 @@ class SamplerConfig:
             raise ValueError("guidance weights must be >= 0")
         if self.k_meas < 0 or self.k_equi < 0:
             raise ValueError("inner step counts must be >= 0")
+        if self.resample_steps != "all" and not (isinstance(self.resample_steps, list) and all(
+                type(i) is int and 0 <= i < self.steps for i in self.resample_steps)):
+            raise ValueError(f"resample_steps must be 'all' or a list of ints in [0, {self.steps})")
 
 
 @dataclass

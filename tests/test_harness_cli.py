@@ -8,12 +8,13 @@ import pytest
 from equiguide import harness
 from equiguide.autodiff import Tensor, matmul
 from equiguide.cli import main
-from equiguide.config import ConfigError, load_config, validate_config
-from equiguide.equi import EquiLossConfig, EquivariantFunction
+from equiguide.config import (DATASET, EQUI, ORACLE, PROBE, RUN, SAMPLER, SCHEDULE, SCORE_MODEL,
+                               ConfigError, load_config, validate_config)
+from equiguide.equi import PROBE_TRAINING, EquiLossConfig, EquivariantFunction
 from equiguide.gmm import GMMPrior, sample_gmm
 from equiguide.groups import make_group
 from equiguide.harness import cmd_gen_data, cmd_report, cmd_run, cmd_sweep, cmd_train
-from equiguide.models import AnalyticGmmScore
+from equiguide.models import DENOISER_TRAINING, AnalyticGmmScore
 from equiguide.operators import forward
 from equiguide.samplers import ALGORITHMS, equi_dps_sample, expected_reg_count
 
@@ -458,6 +459,13 @@ BAD_BUILDS = [
      "probe: permutation of length 3 on shape (1, 2)"),
     (lambda out_dir, _: vector_config(out_dir, "psld"), "probe", ABSENT,
      "sampler.algorithm 'psld' needs a probe section"),
+    (lambda out_dir, _: vector_config(out_dir, "psld"), "score_model",
+     {"kind": "analytic-gmm", "prior": vector_config("out", "dps")["dataset"]["spec"]},
+     "sampler.algorithm 'psld' needs a latent-space score model"),
+    (vector_config, "score_model.train.space", "latent",
+     "sampler.algorithm 'equi-dps' needs a pixel-space score model"),
+    (lambda out_dir, _: vector_config(out_dir, "psld"), "probe.train", ABSENT,
+     "latent-space training needs a trained probe in the same config"),
 ]
 
 
@@ -494,6 +502,15 @@ BAD_INPUTS = [
     ("gen-data", "probe.train.lr", "x", "probe.train.lr must be a number > 0"),
     ("gen-data", "dataset.n", "many", "dataset.n must be an integer >= 1"),
     ("gen-data", "dataset.n", -5, "dataset.n must be an integer >= 1"),
+    ("gen-data", "probe.train.augment", "false", "probe.train.augment must be true or false"),
+    ("gen-data", "probe.train.channels", 2.5, "probe.train.channels must be an integer >= 0"),
+    ("gen-data", "run.oracle.enabled", "false", "run.oracle.enabled must be true or false"),
+    ("gen-data", "run.oracle.ring_radius", "abc", "run.oracle.ring_radius must be a number > 0"),
+    ("gen-data", "run.oracle.ring_radius", 0, "run.oracle.ring_radius must be a number > 0"),
+    ("gen-data", "schedule.T", "40", "schedule.T must be an integer >= 1"),
+    ("gen-data", "sampler.zeta_normalized", "false", "sampler.zeta_normalized must be true or false"),
+    ("gen-data", "sampler.k_meas", 2.5, "sampler.k_meas must be an integer >= 0"),
+    ("gen-data", "sampler.resample_steps", "none", "resample_steps must be 'all' or a list"),
 ]
 
 
@@ -513,6 +530,51 @@ def test_cli_bad_data_prior_or_training_input_exits_2(tmp_path, capsys, command,
     assert not (tmp_path / "denoiser.eqc").exists()
     diverged = message == "TrainingDiverged"
     assert (tmp_path / "probe.eqc").exists() == (tmp_path / "dataset.eqd").exists() == diverged
+
+
+def test_cli_probe_training_that_diverges_writes_no_probe(tmp_path, capsys):
+    cfg = vector_config(tmp_path, "equi-dps")
+    cfg["probe"]["train"]["lr"] = 1e150  # the tanh layers keep every value finite
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "TrainingDiverged" in capsys.readouterr().err
+    assert not (tmp_path / "probe.eqc").exists()
+
+
+SECTIONS = [("dataset", DATASET), ("schedule", SCHEDULE), ("score_model", SCORE_MODEL),
+            ("score_model.train", DENOISER_TRAINING), ("probe", PROBE),
+            ("probe.train", PROBE_TRAINING), ("sampler", SAMPLER), ("sampler.equi", EQUI),
+            ("run", RUN), ("run.oracle", ORACLE)]
+
+
+def _defaults(cfg, write):
+    """cfg with every optional key written out at its default, or each key at its default left out."""
+    cfg = json.loads(json.dumps(cfg))
+    for path, defaults in SECTIONS:
+        section = cfg
+        for name in path.split("."):
+            section = section.setdefault(name, {})
+        for key, default in defaults.items():
+            if write and default is not None:
+                section.setdefault(key, default)
+            elif not write and key in section and section[key] == default:
+                del section[key]
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [vector_config, grid_config])
+def test_cli_defaults_written_out_or_left_out_sample_the_same(tmp_path, capsys, make_config):
+    hashes = []
+    for write in (True, False):
+        out = tmp_path / str(write)
+        cfg = _defaults(make_config(out, "equi-dps"), write)
+        path = _write_config(tmp_path, cfg)
+        for command in ("gen-data", "train", "run"):
+            assert main([command, "--config", path]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        hashes.append(summary["payload"]["results"][0]["sample_hashes"])
+    assert hashes[0] == hashes[1]
+    assert _defaults(make_config(tmp_path, "equi-dps"), True) != _defaults(
+        make_config(tmp_path, "equi-dps"), False)
 
 
 def test_cli_run_reports_the_oracle_metrics(tmp_path, capsys):
